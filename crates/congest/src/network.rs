@@ -68,26 +68,35 @@ impl Network {
     /// Panics if `messages.len() != n` or any message exceeds the model
     /// width.
     pub fn broadcast_round(&mut self, messages: &[u64]) -> &[u64] {
+        self.push_round(messages.to_vec());
+        self.log.round(self.log.rounds() - 1)
+    }
+
+    /// Logs one round after checking the broadcast discipline.
+    fn push_round(&mut self, messages: Vec<u64>) {
         assert_eq!(
             messages.len(),
             self.model.n(),
             "one message per processor per round"
         );
-        for &m in messages {
+        for &m in &messages {
             assert!(
                 self.model.fits(m),
                 "message {m} exceeds BCAST({}) width",
                 self.model.width_bits()
             );
         }
-        self.log.push_round(messages.to_vec());
-        self.log.round(self.log.rounds() - 1)
+        self.log.push_round(messages);
     }
 
     /// Ships one equal-length bit payload per processor, `width_bits` bits
     /// per round, over `⌈payload_bits / width⌉` rounds. Processors with
     /// nothing to say must still pass a payload (of zeros) — in a broadcast
     /// round everyone speaks.
+    ///
+    /// Round `r` carries payload bits `[r·width, (r+1)·width)`, bit `b` of
+    /// the message being payload bit `r·width + b`; the last round is
+    /// zero-padded.
     ///
     /// Returns the number of rounds consumed.
     ///
@@ -103,18 +112,11 @@ impl Network {
         let width = self.model.width_bits() as usize;
         let rounds = self.model.rounds_for_bits(len);
         for r in 0..rounds {
-            let mut messages = Vec::with_capacity(self.model.n());
-            for p in payloads {
-                let mut m = 0u64;
-                for b in 0..width {
-                    let idx = r * width + b;
-                    if idx < len && p.get(idx) {
-                        m |= 1 << b;
-                    }
-                }
-                messages.push(m);
-            }
-            self.broadcast_round(&messages);
+            let messages = payloads
+                .iter()
+                .map(|p| read_bits(p.as_words(), r * width, width))
+                .collect();
+            self.push_round(messages);
         }
         rounds
     }
@@ -124,21 +126,41 @@ impl Network {
     pub fn collect_bits(&self, rounds: usize, payload_bits: usize) -> Vec<BitVec> {
         let width = self.model.width_bits() as usize;
         let start = self.log.rounds() - rounds;
-        (0..self.model.n())
-            .map(|i| {
-                let mut out = BitVec::zeros(payload_bits);
-                for r in 0..rounds {
-                    let msg = self.log.message(start + r, i);
-                    for b in 0..width {
-                        let idx = r * width + b;
-                        if idx < payload_bits && (msg >> b) & 1 == 1 {
-                            out.set(idx, true);
-                        }
-                    }
-                }
-                out
-            })
+        let mut words = vec![vec![0u64; payload_bits.div_ceil(64)]; self.model.n()];
+        for r in 0..rounds.min(payload_bits.div_ceil(width)) {
+            for (out, &msg) in words.iter_mut().zip(self.log.round(start + r)) {
+                or_bits(out, r * width, width, msg);
+            }
+        }
+        words
+            .into_iter()
+            .map(|w| BitVec::from_words(w, payload_bits))
             .collect()
+    }
+}
+
+/// The `width < 64` bits of `words` starting at bit `lo`, low bit first;
+/// bits past the end of `words` read as zero.
+fn read_bits(words: &[u64], lo: usize, width: usize) -> u64 {
+    let (wi, off) = (lo / 64, lo % 64);
+    let mut m = words.get(wi).map_or(0, |&w| w >> off);
+    if off + width > 64 {
+        m |= words.get(wi + 1).map_or(0, |&w| w << (64 - off));
+    }
+    m & ((1 << width) - 1)
+}
+
+/// ORs the `width < 64`-bit message `msg` into `words` at bit `lo`;
+/// bits past the end of `words` are dropped.
+fn or_bits(words: &mut [u64], lo: usize, width: usize, msg: u64) {
+    let (wi, off) = (lo / 64, lo % 64);
+    if let Some(w) = words.get_mut(wi) {
+        *w |= msg << off;
+    }
+    if off + width > 64 {
+        if let Some(w) = words.get_mut(wi + 1) {
+            *w |= msg >> (64 - off);
+        }
     }
 }
 

@@ -101,3 +101,48 @@ proptest! {
         prop_assert!(r == 0 || ((r - 1) * (width as usize)) < bits);
     }
 }
+
+/// The per-bit packing `broadcast_bits` used before it moved to word
+/// shifts: message `r` carries payload bits `[r·w, (r+1)·w)`, low bit
+/// first, zero-padded past the payload.
+fn per_bit_messages(payload: &BitVec, width: usize, rounds: usize) -> Vec<u64> {
+    (0..rounds)
+        .map(|r| {
+            (0..width)
+                .filter(|&b| r * width + b < payload.len() && payload.get(r * width + b))
+                .fold(0u64, |m, b| m | 1 << b)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn broadcast_bits_across_word_boundaries(n in 1usize..4, seed in any::<u64>()) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        for width in [1u32, 2, 3, 7, 32, 63] {
+            for len in [0usize, 1, 63, 64, 65, 200] {
+                let payloads: Vec<BitVec> = (0..n).map(|_| BitVec::random(&mut rng, len)).collect();
+                let mut net = Network::new(Model::new(n, width));
+                let rounds = net.broadcast_bits(&payloads);
+                prop_assert_eq!(rounds, len.div_ceil(width as usize));
+                for (i, p) in payloads.iter().enumerate() {
+                    let logged = net.log().by_processor(i);
+                    prop_assert!(logged.iter().all(|&m| m < 1 << width), "width {} overflowed", width);
+                    prop_assert_eq!(logged, per_bit_messages(p, width as usize, rounds));
+                }
+                prop_assert_eq!(net.collect_bits(rounds, len), payloads);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "message width must be in 1..=63 bits")]
+fn sixty_four_bit_messages_are_outside_the_model() {
+    // Widths stop at 63, so a message always fits a `u64` with room for
+    // the alphabet size `2^w`; the word-shift packing relies on it.
+    Model::new(2, 64);
+}

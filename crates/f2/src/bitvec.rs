@@ -1,7 +1,7 @@
 //! Bit-packed vectors over F₂.
 
 use std::fmt;
-use std::ops::{BitAnd, BitXor, BitXorAssign};
+use std::ops::{BitAnd, BitOrAssign, BitXor, BitXorAssign};
 
 use rand::Rng;
 
@@ -48,6 +48,25 @@ impl BitVec {
             words: vec![!0u64; len.div_ceil(WORD_BITS)],
             len,
         };
+        v.mask_tail();
+        v
+    }
+
+    /// Creates a vector of length `len` from its packed words (coordinate
+    /// `i` is bit `i % 64` of word `i / 64`); bits at or beyond `len` are
+    /// cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words.len() == len.div_ceil(64)`.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WORD_BITS),
+            "{len} coordinates need {} words",
+            len.div_ceil(WORD_BITS)
+        );
+        let mut v = BitVec { words, len };
         v.mask_tail();
         v
     }
@@ -173,6 +192,17 @@ impl BitVec {
         kernel::active().dot(&self.words, &other.words)
     }
 
+    /// `|self ∧ other|`: the Hamming weight of the AND, without
+    /// allocating it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn and_count(&self, other: &BitVec) -> usize {
+        assert_eq!(self.len, other.len, "and_count of mismatched lengths");
+        kernel::active().filter_count(&self.words, &other.words, true)
+    }
+
     /// XORs `other` into `self` in place.
     ///
     /// # Panics
@@ -274,6 +304,13 @@ impl BitXorAssign<&BitVec> for BitVec {
     }
 }
 
+impl BitOrAssign<&BitVec> for BitVec {
+    fn bitor_assign(&mut self, rhs: &BitVec) {
+        assert_eq!(self.len, rhs.len, "or of mismatched lengths");
+        kernel::active().or_in_place(&mut self.words, &rhs.words);
+    }
+}
+
 impl BitXor for &BitVec {
     type Output = BitVec;
 
@@ -363,6 +400,29 @@ mod tests {
         }
         let v = BitVec::from_u64(u64::MAX, 64);
         assert_eq!(v.to_u64(), u64::MAX);
+    }
+
+    #[test]
+    fn from_words_masks_the_tail() {
+        let v = BitVec::from_words(vec![!0, !0], 70);
+        assert_eq!(v, BitVec::ones(70));
+        assert_eq!(BitVec::from_words(Vec::new(), 0), BitVec::zeros(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "need 2 words")]
+    fn from_words_rejects_a_wrong_word_count() {
+        BitVec::from_words(vec![0], 65);
+    }
+
+    #[test]
+    fn and_count_is_the_weight_of_the_and() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in [0, 1, 63, 64, 65, 300] {
+            let a = BitVec::random(&mut rng, len);
+            let b = BitVec::random(&mut rng, len);
+            assert_eq!(a.and_count(&b), (&a & &b).count_ones());
+        }
     }
 
     #[test]

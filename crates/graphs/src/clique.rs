@@ -7,6 +7,11 @@
 //! which is comfortably fast at the active-set sizes the protocol produces
 //! (`n·p = Θ(n log²n / k)` vertices of a density-¼ mutual graph plus the
 //! planted part).
+//!
+//! Every set operation is word-parallel through the F₂ word kernel: a
+//! branch narrows `P` and `X` by one AND with the borrowed neighbourhood,
+//! pivots are scored with the allocation-free [`BitVec::and_count`]
+//! (`kernel.words.filter`), and the branch list is `P ∧ ¬N(pivot)`.
 
 use bcc_f2::BitVec;
 
@@ -71,10 +76,10 @@ fn bron_kerbosch_max(
         return;
     }
     for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v).clone();
+        let nv = g.neighbors(v);
         r.push(v);
-        let mut p2 = &*p & &nv;
-        let mut x2 = &*x & &nv;
+        let mut p2 = &*p & nv;
+        let mut x2 = &*x & nv;
         bron_kerbosch_max(g, r, &mut p2, &mut x2, best);
         r.pop();
         p.set(v, false);
@@ -114,10 +119,10 @@ fn bron_kerbosch_all(
         return;
     }
     for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v).clone();
+        let nv = g.neighbors(v);
         r.push(v);
-        let mut p2 = &*p & &nv;
-        let mut x2 = &*x & &nv;
+        let mut p2 = &*p & nv;
+        let mut x2 = &*x & nv;
         bron_kerbosch_all(g, r, &mut p2, &mut x2, min_size, out);
         r.pop();
         p.set(v, false);
@@ -127,13 +132,15 @@ fn bron_kerbosch_all(
 
 /// `P \ N(pivot)` where the pivot maximizes `|N(pivot) ∩ P|` over `P ∪ X`
 /// (Tomita-style pivoting; the pivot itself stays a candidate when in `P`).
+/// Ties go to the *last* maximiser in `P`-then-`X` order, which fixes the
+/// traversal and so which maximum clique is returned.
 fn pivot_candidates(g: &UGraph, p: &BitVec, x: &BitVec) -> Vec<usize> {
     let pivot = p
         .iter_ones()
         .chain(x.iter_ones())
-        .max_by_key(|&u| (g.neighbors(u) & p).count_ones())
+        .max_by_key(|&u| g.neighbors(u).and_count(p))
         .expect("P ∪ X is non-empty here");
-    p.iter_ones().filter(|&v| !g.has_edge(pivot, v)).collect()
+    p.and_not(g.neighbors(pivot)).iter_ones().collect()
 }
 
 /// Greedily extends `seed` to a maximal clique containing it.

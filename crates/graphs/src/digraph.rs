@@ -113,12 +113,15 @@ impl DiGraph {
     ///
     /// Panics if a vertex repeats or is out of range.
     pub fn plant_clique(&mut self, set: &[usize]) {
-        for (a, &u) in set.iter().enumerate() {
-            for &v in &set[a + 1..] {
-                assert_ne!(u, v, "clique vertices must be distinct");
-                self.set_edge(u, v, true);
-                self.set_edge(v, u, true);
-            }
+        let mut mask = BitVec::zeros(self.n());
+        for &u in set {
+            assert!(!mask.get(u), "clique vertices must be distinct");
+            mask.set(u, true);
+        }
+        for &u in set {
+            let row = self.adj.row_mut(u);
+            *row |= &mask;
+            row.set(u, false);
         }
     }
 
@@ -166,6 +169,22 @@ impl UGraph {
         UGraph {
             adj: vec![BitVec::zeros(n); n],
         }
+    }
+
+    /// The graph whose vertex `u` has neighbourhood `rows[u]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every row has length `rows.len()` and a zero
+    /// diagonal; symmetry is checked in debug builds.
+    pub fn from_rows(rows: Vec<BitVec>) -> Self {
+        let n = rows.len();
+        for (u, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), n, "adjacency rows must be n long");
+            assert!(!row.get(u), "self-loops are forbidden");
+            debug_assert!(row.iter_ones().all(|v| rows[v].get(u)), "asymmetric rows");
+        }
+        UGraph { adj: rows }
     }
 
     /// A `G(n, p)` Erdős–Rényi graph.

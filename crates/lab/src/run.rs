@@ -24,7 +24,7 @@ use bcc_core::{
     derive_seed, wide_walk_nodes, AdaptiveEstimator, WideExactEstimator, MAX_WIDE_NODES,
 };
 use bcc_f2::{BitMatrix, BitVec};
-use bcc_planted::find::{activation_probability, measure_find};
+use bcc_planted::find::{activation_probability, FindTally};
 use bcc_prg::toy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -393,16 +393,17 @@ fn find_clique(point: &ScenarioPoint, precision: &Precision) -> Outcome {
     let n = point.n;
     let k = point.k as usize;
     let p = activation_probability(n, k);
-    let seed = derive_seed(point.stream_root(), 3);
+    let mut rng = StdRng::seed_from_u64(derive_seed(point.stream_root(), 3));
+    let mut tally = FindTally::new(n, k, p);
     let mut trials = precision.initial_samples.min(precision.max_samples);
     loop {
-        // One seed for every budget: a larger run replays the smaller
-        // run's instances and extends them, so the loop is deterministic
-        // and the final result is the one-shot run at the final budget.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stats = measure_find(n, k, p, trials, &mut rng);
-        let successes = (stats.success_rate * trials as f64).round();
-        let smoothed = (successes + 1.0) / (trials as f64 + 2.0);
+        // One stream for every budget, drawn trial by trial: growing the
+        // tally by the new trials only yields exactly the instances a
+        // one-shot `measure_find` at the final budget would see, so the
+        // result is the one-shot run's and no trial is ever replayed.
+        tally.extend(trials - tally.trials(), &mut rng);
+        let stats = tally.stats();
+        let smoothed = (tally.successes() as f64 + 1.0) / (trials as f64 + 2.0);
         let half_width = (smoothed * (1.0 - smoothed) / trials as f64).sqrt();
         let met = half_width <= precision.tolerance;
         if met || trials >= precision.max_samples {
@@ -757,6 +758,47 @@ mod tests {
         assert_eq!(a.samples, b.samples);
         assert!(a.estimate > 0.5, "success rate {} too low", a.estimate);
         assert!(a.samples <= 8);
+    }
+
+    #[test]
+    fn find_clique_adaptive_equals_one_shot_at_the_final_budget() {
+        // Budgets 2 → 4 → 8 grow one tally; the record must be the one a
+        // fresh `measure_find` at the final budget reports from the
+        // point's stream. Tolerance 0 forces the growth to the cap; 0.3
+        // lets some points stop early.
+        for tolerance in [0.0, 0.3] {
+            let scenario = Scenario::builder("t")
+                .workload(Workload::FindClique)
+                .n(&[96])
+                .k(&[48])
+                .tolerance(tolerance)
+                .initial_samples(2)
+                .max_samples(8)
+                .build();
+            for seed in 1..=6 {
+                let p = point(96, 48, 1, seed);
+                let rec = run_point(&scenario, 0, &p);
+                let mut rng = StdRng::seed_from_u64(derive_seed(p.stream_root(), 3));
+                let one_shot = bcc_planted::find::measure_find(
+                    96,
+                    48,
+                    activation_probability(96, 48),
+                    rec.samples as usize,
+                    &mut rng,
+                );
+                assert_eq!(rec.estimate.to_bits(), one_shot.success_rate.to_bits());
+                // The finder succeeds almost surely here, so the estimate
+                // alone cannot tell which trials were tallied; the
+                // half-width, which counts them, can.
+                let t = rec.samples as f64;
+                let smoothed = (one_shot.success_rate * t + 1.0) / (t + 2.0);
+                let half_width = (smoothed * (1.0 - smoothed) / t).sqrt();
+                assert_eq!(rec.noise_floor.to_bits(), half_width.to_bits());
+                if tolerance == 0.0 {
+                    assert_eq!(rec.samples, 8, "tolerance 0 grows to the cap");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! derived.
 
 use bcc_congest::{Model, Network};
-use bcc_f2::BitVec;
+use bcc_f2::{BitMatrix, BitVec};
 use bcc_graphs::clique::max_clique;
 use bcc_graphs::digraph::{DiGraph, UGraph};
 use rand::Rng;
@@ -124,35 +124,41 @@ pub fn find_planted_clique_in<R: Rng + ?Sized>(
 
     // Step 3: active processors publish their adjacency to the active set
     // (inactive processors pad with zeros — everyone broadcasts each
-    // round in this model).
+    // round in this model). Row `i` restricted to the active columns is
+    // gathered word by word; the diagonal is already zero.
     let payloads: Vec<BitVec> = (0..n)
         .map(|i| {
-            let mut v = BitVec::zeros(n_active);
+            let mut words = vec![0u64; n_active.div_ceil(64)];
             if heard[i] == 1 {
+                let row = graph.row(i).as_words();
                 for (slot, &j) in active.iter().enumerate() {
-                    if i != j && graph.has_edge(i, j) {
-                        v.set(slot, true);
-                    }
+                    words[slot / 64] |= ((row[j / 64] >> (j % 64)) & 1) << (slot % 64);
                 }
             }
-            v
+            BitVec::from_words(words, n_active)
         })
         .collect();
     let rounds = net.broadcast_bits(&payloads);
-    let published = net.collect_bits(rounds, n_active);
 
-    // Step 4: everyone reconstructs the active mutual subgraph and takes
-    // its maximum clique (unbounded local computation).
-    let mut active_graph = UGraph::empty(n_active);
-    for a in 0..n_active {
-        for b in (a + 1)..n_active {
-            let ab = published[active[a]].get(b);
-            let ba = published[active[b]].get(a);
-            if ab && ba {
-                active_graph.set_edge(a, b, true);
-            }
-        }
-    }
+    // Step 4: everyone reconstructs the active mutual subgraph `S ∧ Sᵀ`
+    // from the rows `S` the active processors published, and takes its
+    // maximum clique (unbounded local computation).
+    let published = BitMatrix::from_rows(
+        net.collect_bits(rounds, n_active)
+            .into_iter()
+            .zip(&heard)
+            .filter_map(|(row, &h)| (h == 1).then_some(row))
+            .collect(),
+        n_active,
+    );
+    let transposed = published.transpose();
+    let active_graph = UGraph::from_rows(
+        published
+            .iter_rows()
+            .zip(transposed.iter_rows())
+            .map(|(row, col)| row & col)
+            .collect(),
+    );
     let local_clique = max_clique(&active_graph);
     let active_clique: Vec<usize> = local_clique.iter().map(|&a| active[a]).collect();
     let log_n = (n as f64).log2();
@@ -167,16 +173,17 @@ pub fn find_planted_clique_in<R: Rng + ?Sized>(
     }
 
     // Step 5: membership claims. Processor i checks its own row: an
-    // out-edge to at least 9/10 of C_active. (A planted clique forces both
-    // directions, so clique members always pass; a non-member's out-edges
-    // to C_active are fair coins and the 9/10 threshold fails them with
-    // probability exp(-Ω(|C_active|)).)
+    // out-edge to at least 9/10 of C_active, counting itself when it is a
+    // member. (A planted clique forces both directions, so clique members
+    // always pass; a non-member's out-edges to C_active are fair coins and
+    // the 9/10 threshold fails them with probability exp(-Ω(|C_active|)).)
+    let mut clique_mask = BitVec::zeros(n);
+    for &j in &active_clique {
+        clique_mask.set(j, true);
+    }
     let claims: Vec<u64> = (0..n)
         .map(|i| {
-            let connected = active_clique
-                .iter()
-                .filter(|&&j| i == j || graph.has_edge(i, j))
-                .count();
+            let connected = graph.row(i).and_count(&clique_mask) + usize::from(clique_mask.get(i));
             u64::from(10 * connected >= 9 * active_clique.len())
         })
         .collect();
@@ -205,7 +212,83 @@ pub struct FindStats {
     pub abort_rate: f64,
 }
 
+/// A running tally of the protocol over fresh `A_k` instances, drawn
+/// trial by trial from one RNG stream: extending by `a` then `b` trials
+/// draws exactly the instances a single extension by `a + b` would, so a
+/// caller can grow its budget without replaying earlier trials.
+#[derive(Debug, Clone)]
+pub struct FindTally {
+    n: usize,
+    k: usize,
+    p: f64,
+    trials: usize,
+    successes: usize,
+    aborts: usize,
+    rounds: usize,
+    active: usize,
+}
+
+impl FindTally {
+    /// An empty tally over `A_k` instances on `n` vertices, run with
+    /// activation probability `p`.
+    pub fn new(n: usize, k: usize, p: f64) -> Self {
+        FindTally {
+            n,
+            k,
+            p,
+            trials: 0,
+            successes: 0,
+            aborts: 0,
+            rounds: 0,
+            active: 0,
+        }
+    }
+
+    /// Runs the protocol on `trials` more fresh instances.
+    pub fn extend<R: Rng + ?Sized>(&mut self, trials: usize, rng: &mut R) {
+        for _ in 0..trials {
+            let inst = bcc_graphs::planted::sample_planted(rng, self.n, self.k);
+            let out = find_planted_clique(&inst.graph, self.p, rng);
+            self.successes += usize::from(out.recovered(&inst.clique));
+            self.aborts += usize::from(out.abort.is_some());
+            self.rounds += out.rounds_used;
+            self.active += out.active_count;
+        }
+        self.trials += trials;
+    }
+
+    /// Trials run so far.
+    pub fn trials(&self) -> usize {
+        self.trials
+    }
+
+    /// Trials that recovered the planted clique exactly.
+    pub fn successes(&self) -> usize {
+        self.successes
+    }
+
+    /// The statistics over every trial so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no trial has run.
+    pub fn stats(&self) -> FindStats {
+        assert!(self.trials > 0, "need at least one trial");
+        let t = self.trials as f64;
+        FindStats {
+            success_rate: self.successes as f64 / t,
+            mean_rounds: self.rounds as f64 / t,
+            mean_active: self.active as f64 / t,
+            abort_rate: self.aborts as f64 / t,
+        }
+    }
+}
+
 /// Runs the protocol on `trials` fresh `A_k` instances.
+///
+/// # Panics
+///
+/// Panics if `trials == 0`.
 pub fn measure_find<R: Rng + ?Sized>(
     n: usize,
     k: usize,
@@ -213,29 +296,9 @@ pub fn measure_find<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> FindStats {
-    assert!(trials > 0, "need at least one trial");
-    let mut success = 0usize;
-    let mut aborts = 0usize;
-    let mut rounds = 0usize;
-    let mut active = 0usize;
-    for _ in 0..trials {
-        let inst = bcc_graphs::planted::sample_planted(rng, n, k);
-        let out = find_planted_clique(&inst.graph, p, rng);
-        if out.recovered(&inst.clique) {
-            success += 1;
-        }
-        if out.abort.is_some() {
-            aborts += 1;
-        }
-        rounds += out.rounds_used;
-        active += out.active_count;
-    }
-    FindStats {
-        success_rate: success as f64 / trials as f64,
-        mean_rounds: rounds as f64 / trials as f64,
-        mean_active: active as f64 / trials as f64,
-        abort_rate: aborts as f64 / trials as f64,
-    }
+    let mut tally = FindTally::new(n, k, p);
+    tally.extend(trials, rng);
+    tally.stats()
 }
 
 #[cfg(test)]
@@ -243,7 +306,7 @@ mod tests {
     use super::*;
     use bcc_graphs::planted::{sample_planted, sample_rand};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn recovers_large_planted_clique() {
@@ -345,6 +408,30 @@ mod tests {
                 narrow.rounds_used
             );
             assert!(wide.recovered(&inst.clique));
+        }
+    }
+
+    #[test]
+    fn tally_extensions_compose() {
+        // extend(a) then extend(b) draws exactly what extend(a + b) does.
+        let (n, k) = (96, 48);
+        let p = activation_probability(n, k);
+        for (a, b) in [(1, 1), (2, 3), (0, 4), (4, 0)] {
+            let mut split_rng = StdRng::seed_from_u64(8);
+            let mut split = FindTally::new(n, k, p);
+            split.extend(a, &mut split_rng);
+            split.extend(b, &mut split_rng);
+            let mut whole_rng = StdRng::seed_from_u64(8);
+            let mut whole = FindTally::new(n, k, p);
+            whole.extend(a + b, &mut whole_rng);
+            assert_eq!(split.trials(), whole.trials());
+            assert_eq!(split.successes(), whole.successes());
+            let (s, w) = (split.stats(), whole.stats());
+            assert_eq!(s.success_rate.to_bits(), w.success_rate.to_bits());
+            assert_eq!(s.mean_rounds.to_bits(), w.mean_rounds.to_bits());
+            assert_eq!(s.mean_active.to_bits(), w.mean_active.to_bits());
+            assert_eq!(s.abort_rate.to_bits(), w.abort_rate.to_bits());
+            assert_eq!(split_rng.gen::<u64>(), whole_rng.gen::<u64>());
         }
     }
 
