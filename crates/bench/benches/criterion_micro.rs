@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks for the computational substrate: PRG
 //! expansion, F₂ rank, the exact engine walk, Bron–Kerbosch on the
-//! Appendix B active subgraph, and the transcript-key sort at the heart
-//! of the sampled estimator (comparison sort vs the LSD radix sort).
+//! Appendix B active subgraph, the block bit transpose and the broadcast
+//! round log at the Appendix B adjacency phase's shape, and the
+//! transcript-key sort at the heart of the sampled estimator (comparison
+//! sort vs the LSD radix sort).
 
 use bcc_bench::walk_fixtures::{intersect_fixture, shared_family};
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, Model, Network};
 use bcc_core::{
     exact_comparison, exact_mixture_comparison_mode, exact_mixture_comparison_reference,
     radix_sort_u64, ExecMode, ProductInput,
@@ -182,6 +184,38 @@ fn bench_max_clique(c: &mut Criterion) {
     });
 }
 
+/// `BitMatrix::transpose` at the Appendix B shapes: the active rows of a
+/// 512-vertex graph, and the square active adjacency.
+fn bench_bit_transpose(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut group = c.benchmark_group("bit_transpose");
+    for &(r, cols) in &[(200usize, 512usize), (257, 257)] {
+        let m = BitMatrix::random(&mut rng, r, cols);
+        group.bench_function(format!("{r}x{cols}"), |b| {
+            b.iter(|| std::hint::black_box(&m).transpose())
+        });
+    }
+    group.finish();
+}
+
+/// One Appendix B adjacency phase in `BCAST(1)`: 512 processors ship a
+/// 200-bit payload each through the round log and read it back.
+fn bench_broadcast_bits_roundtrip(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let (n, len) = (512usize, 200usize);
+    let payloads: Vec<BitVec> = (0..n).map(|_| BitVec::random(&mut rng, len)).collect();
+    let mut group = c.benchmark_group("broadcast_bits_roundtrip");
+    group.throughput(Throughput::Elements((n * len) as u64));
+    group.bench_function(format!("n{n}_bits{len}"), |b| {
+        b.iter(|| {
+            let mut net = Network::new(Model::bcast1(n));
+            let rounds = net.broadcast_bits(std::hint::black_box(&payloads));
+            net.collect_bits(rounds, len)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_prg_expand,
@@ -190,6 +224,8 @@ criterion_group!(
     bench_walk_partition,
     bench_consistent_intersect,
     bench_transcript_sort,
-    bench_max_clique
+    bench_max_clique,
+    bench_bit_transpose,
+    bench_broadcast_bits_roundtrip
 );
 criterion_main!(benches);

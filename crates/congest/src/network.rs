@@ -60,6 +60,12 @@ impl Network {
         &self.log
     }
 
+    /// Returns the network to zero rounds elapsed, keeping the log's
+    /// pages so that the next execution on it logs without allocating.
+    pub fn clear(&mut self) {
+        self.log.clear();
+    }
+
     /// Executes one synchronous round: every processor broadcasts one
     /// message; returns the messages everyone now knows.
     ///
@@ -68,25 +74,9 @@ impl Network {
     /// Panics if `messages.len() != n` or any message exceeds the model
     /// width.
     pub fn broadcast_round(&mut self, messages: &[u64]) -> &[u64] {
-        self.push_round(messages.to_vec());
-        self.log.round(self.log.rounds() - 1)
-    }
-
-    /// Logs one round after checking the broadcast discipline.
-    fn push_round(&mut self, messages: Vec<u64>) {
-        assert_eq!(
-            messages.len(),
-            self.model.n(),
-            "one message per processor per round"
-        );
-        for &m in &messages {
-            assert!(
-                self.model.fits(m),
-                "message {m} exceeds BCAST({}) width",
-                self.model.width_bits()
-            );
-        }
-        self.log.push_round(messages);
+        check_round(&self.model, messages);
+        count_logged(messages.len());
+        self.log.extend_round(messages.iter().copied())
     }
 
     /// Ships one equal-length bit payload per processor, `width_bits` bits
@@ -104,7 +94,8 @@ impl Network {
     ///
     /// Panics if payload lengths differ or `payloads.len() != n`.
     pub fn broadcast_bits(&mut self, payloads: &[BitVec]) -> usize {
-        assert_eq!(payloads.len(), self.model.n(), "one payload per processor");
+        let n = self.model.n();
+        assert_eq!(payloads.len(), n, "one payload per processor");
         let len = payloads.first().map_or(0, BitVec::len);
         for p in payloads {
             assert_eq!(p.len(), len, "payloads must have equal length");
@@ -112,30 +103,69 @@ impl Network {
         let width = self.model.width_bits() as usize;
         let rounds = self.model.rounds_for_bits(len);
         for r in 0..rounds {
-            let messages = payloads
-                .iter()
-                .map(|p| read_bits(p.as_words(), r * width, width))
-                .collect();
-            self.push_round(messages);
+            let round = self.log.extend_round(
+                payloads
+                    .iter()
+                    .map(|p| read_bits(p.as_words(), r * width, width)),
+            );
+            check_round(&self.model, round);
         }
+        count_logged(rounds * n);
         rounds
     }
 
     /// Recovers the payloads sent by [`Network::broadcast_bits`] from the
     /// last `rounds` rounds of the log, truncated to `payload_bits`.
     pub fn collect_bits(&self, rounds: usize, payload_bits: usize) -> Vec<BitVec> {
+        let n = self.model.n();
         let width = self.model.width_bits() as usize;
+        let stride = payload_bits.div_ceil(64);
+        if stride == 0 {
+            return vec![BitVec::zeros(0); n];
+        }
         let start = self.log.rounds() - rounds;
-        let mut words = vec![vec![0u64; payload_bits.div_ceil(64)]; self.model.n()];
+        let mut words = vec![0u64; n * stride];
         for r in 0..rounds.min(payload_bits.div_ceil(width)) {
-            for (out, &msg) in words.iter_mut().zip(self.log.round(start + r)) {
+            for (out, &msg) in words
+                .chunks_exact_mut(stride)
+                .zip(self.log.round(start + r))
+            {
                 or_bits(out, r * width, width, msg);
             }
         }
         words
-            .into_iter()
-            .map(|w| BitVec::from_words(w, payload_bits))
+            .chunks_exact(stride)
+            .map(|w| BitVec::from_words(w.to_vec(), payload_bits))
             .collect()
+    }
+}
+
+/// Checks the broadcast discipline for one round: one message per
+/// processor, each within the model width.
+fn check_round(model: &Model, messages: &[u64]) {
+    assert_eq!(
+        messages.len(),
+        model.n(),
+        "one message per processor per round"
+    );
+    for &m in messages {
+        assert!(
+            model.fits(m),
+            "message {m} exceeds BCAST({}) width",
+            model.width_bits()
+        );
+    }
+}
+
+/// Adds one broadcast call's logged messages to `congest.messages_logged`
+/// in the installed observability scope, if any.
+fn count_logged(messages: usize) {
+    if let Some(obs) = bcc_obs::current() {
+        obs.add(
+            "congest.messages_logged",
+            bcc_obs::Class::Work,
+            messages as u64,
+        );
     }
 }
 

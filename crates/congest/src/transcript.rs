@@ -116,12 +116,35 @@ impl TurnTranscript {
     }
 }
 
-/// The full log of a synchronous-round execution: `rounds[r][i]` is the
+/// Words per page of a [`RoundLog`]: 64 KiB, small enough that the
+/// allocator recycles freed pages the way it recycles any small buffer.
+const PAGE_WORDS: usize = 8192;
+
+/// The full log of a synchronous-round execution: `round(r)[i]` is the
 /// message processor `i` broadcast in round `r`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Rounds are stored round-major in fixed-size pages that each hold
+/// whole rounds, so every round is one contiguous slice and appending a
+/// round allocates only when it opens a page. [`RoundLog::clear`] keeps
+/// the pages for the next execution.
+#[derive(Debug, Clone, Default)]
 pub struct RoundLog {
-    rounds: Vec<Vec<u64>>,
+    /// In use: the first `rounds.div_ceil(rounds_per_page)`; the rest are
+    /// kept from before the last [`RoundLog::clear`].
+    pages: Vec<Vec<u64>>,
+    processors: usize,
+    rounds: usize,
 }
+
+impl PartialEq for RoundLog {
+    fn eq(&self, other: &RoundLog) -> bool {
+        self.processors == other.processors
+            && self.rounds == other.rounds
+            && (0..self.rounds).all(|r| self.round(r) == other.round(r))
+    }
+}
+
+impl Eq for RoundLog {}
 
 impl RoundLog {
     /// An empty log.
@@ -131,7 +154,12 @@ impl RoundLog {
 
     /// The number of completed rounds.
     pub fn rounds(&self) -> usize {
-        self.rounds.len()
+        self.rounds
+    }
+
+    /// Rounds per page (at least one, however many processors).
+    fn rounds_per_page(&self) -> usize {
+        (PAGE_WORDS / self.processors.max(1)).max(1)
     }
 
     /// The messages of round `r` (one per processor).
@@ -140,7 +168,10 @@ impl RoundLog {
     ///
     /// Panics if `r` is out of range.
     pub fn round(&self, r: usize) -> &[u64] {
-        &self.rounds[r]
+        assert!(r < self.rounds, "round {r} out of range {}", self.rounds);
+        let per_page = self.rounds_per_page();
+        let start = (r % per_page) * self.processors;
+        &self.pages[r / per_page][start..start + self.processors]
     }
 
     /// The message processor `i` broadcast in round `r`.
@@ -149,33 +180,67 @@ impl RoundLog {
     ///
     /// Panics if out of range.
     pub fn message(&self, r: usize, i: usize) -> u64 {
-        self.rounds[r][i]
+        self.round(r)[i]
     }
 
     /// Appends a completed round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the processor count differs from the first round's.
     pub fn push_round(&mut self, messages: Vec<u64>) {
-        if let Some(first) = self.rounds.first() {
-            assert_eq!(
-                first.len(),
-                messages.len(),
-                "all rounds must have the same processor count"
-            );
+        self.extend_round(messages.into_iter());
+    }
+
+    /// Appends the round `messages` yields, writing it straight into the
+    /// log, and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the processor count differs from the first round's.
+    pub(crate) fn extend_round(&mut self, messages: impl ExactSizeIterator<Item = u64>) -> &[u64] {
+        if self.rounds == 0 {
+            self.processors = messages.len();
         }
-        self.rounds.push(messages);
+        assert_eq!(
+            self.processors,
+            messages.len(),
+            "all rounds must have the same processor count"
+        );
+        let per_page = self.rounds_per_page();
+        let index = self.rounds / per_page;
+        if index == self.pages.len() {
+            self.pages
+                .push(Vec::with_capacity(per_page * self.processors));
+        }
+        let page = &mut self.pages[index];
+        if self.rounds.is_multiple_of(per_page) {
+            page.clear();
+        }
+        let start = page.len();
+        page.extend(messages);
+        self.rounds += 1;
+        &page[start..]
+    }
+
+    /// Forgets every round, keeping the pages for the next execution.
+    pub(crate) fn clear(&mut self) {
+        self.processors = 0;
+        self.rounds = 0;
     }
 
     /// All messages broadcast by processor `i`, in round order.
     pub fn by_processor(&self, i: usize) -> Vec<u64> {
-        self.rounds.iter().map(|r| r[i]).collect()
+        (0..self.rounds).map(|r| self.message(r, i)).collect()
     }
 
     /// Reassembles the bits processor `i` broadcast across rounds into a
     /// [`BitVec`], `width_bits` per round, earliest round first
     /// (little-endian within each message).
     pub fn bits_by_processor(&self, i: usize, width_bits: u32) -> BitVec {
-        let mut out = BitVec::zeros(self.rounds.len() * width_bits as usize);
-        for (r, round) in self.rounds.iter().enumerate() {
-            let msg = round[i];
+        let mut out = BitVec::zeros(self.rounds * width_bits as usize);
+        for r in 0..self.rounds {
+            let msg = self.message(r, i);
             for b in 0..width_bits {
                 if (msg >> b) & 1 == 1 {
                     out.set(r * width_bits as usize + b as usize, true);
@@ -187,7 +252,7 @@ impl RoundLog {
 
     /// Total bits broadcast by all processors so far.
     pub fn total_bits(&self, width_bits: u32) -> usize {
-        self.rounds.len() * self.rounds.first().map_or(0, Vec::len) * width_bits as usize
+        self.rounds * self.processors * width_bits as usize
     }
 }
 
@@ -280,6 +345,33 @@ mod tests {
             bits.iter().collect::<Vec<_>>(),
             vec![false, true, true, false]
         );
+    }
+
+    #[test]
+    fn pages_hold_whole_rounds_and_survive_a_clear() {
+        // 3000 processors: two rounds per page; then 5000: one per page.
+        let round = |r: usize, n: usize| (0..n as u64).map(|i| i ^ r as u64).collect::<Vec<_>>();
+        let mut log = RoundLog::new();
+        for r in 0..5 {
+            log.push_round(round(r, 3000));
+        }
+        assert_eq!(log.pages.len(), 3);
+        for r in 0..5 {
+            assert_eq!(log.round(r), &round(r, 3000)[..]);
+        }
+        log.clear();
+        assert_eq!(log, RoundLog::new());
+        for r in 0..3 {
+            log.push_round(round(r, 5000));
+        }
+        assert_eq!(log.pages.len(), 3, "the cleared pages are reused");
+        let mut fresh = RoundLog::new();
+        for r in 0..3 {
+            assert_eq!(log.round(r), &round(r, 5000)[..]);
+            fresh.push_round(round(r, 5000));
+        }
+        assert_eq!(log, fresh);
+        assert_eq!(log.total_bits(1), 15_000);
     }
 
     #[test]

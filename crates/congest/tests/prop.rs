@@ -1,6 +1,8 @@
 //! Property-based tests for the congested-clique model.
 
-use bcc_congest::{is_consistent, run_turn_protocol, FnProtocol, Model, Network, TurnTranscript};
+use bcc_congest::{
+    is_consistent, run_turn_protocol, FnProtocol, Model, Network, RoundLog, TurnTranscript,
+};
 use bcc_f2::BitVec;
 use proptest::prelude::*;
 
@@ -135,6 +137,99 @@ proptest! {
                 }
                 prop_assert_eq!(net.collect_bits(rounds, len), payloads);
             }
+        }
+    }
+}
+
+/// Checks every `RoundLog` accessor against the nested model
+/// `model[r][i]` (the representation the flat log replaced), at message
+/// width `width`.
+fn log_agrees(log: &RoundLog, model: &[Vec<u64>], width: u32) -> Result<(), String> {
+    let n = model.first().map_or(0, Vec::len);
+    prop_assert_eq!(log.rounds(), model.len());
+    prop_assert_eq!(log.total_bits(width), model.len() * n * width as usize);
+    for (r, round) in model.iter().enumerate() {
+        prop_assert_eq!(log.round(r), &round[..]);
+        for (i, &m) in round.iter().enumerate() {
+            prop_assert_eq!(log.message(r, i), m);
+        }
+    }
+    for i in 0..n {
+        let sent: Vec<u64> = model.iter().map(|round| round[i]).collect();
+        let bits: BitVec = sent
+            .iter()
+            .flat_map(|&m| (0..width).map(move |b| (m >> b) & 1 == 1))
+            .collect();
+        prop_assert_eq!(log.by_processor(i), sent);
+        prop_assert_eq!(log.bits_by_processor(i, width), bits);
+    }
+    let mut rebuilt = RoundLog::new();
+    for round in model {
+        rebuilt.push_round(round.clone());
+    }
+    prop_assert_eq!(&rebuilt, log);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The flat round log against a `Vec<Vec<u64>>` model, driven by
+    /// random mixes of plain rounds, bit payloads and clears. Every
+    /// schedule starts in the Appendix B finder's order (an announce
+    /// round, one payload, a claims round) and ends with a plain round.
+    #[test]
+    fn round_log_matches_a_nested_model(
+        n in 1usize..80,
+        width_pick in 0usize..3,
+        steps in proptest::collection::vec((0usize..5, 0usize..150), 0..6),
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let width = [1, 4, Model::bcast_log(n).width_bits()][width_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = Network::new(Model::new(n, width));
+        let mut model: Vec<Vec<u64>> = Vec::new();
+        // Kinds: 0–1 a plain round, 2–3 a payload of `len` bits, 4 a clear.
+        let finder_order = [(0, 0), (2, n), (0, 0)];
+        for (kind, len) in finder_order.into_iter().chain(steps).chain([(0, 0)]) {
+            if kind == 4 {
+                net.clear();
+                model.clear();
+            } else if kind < 2 {
+                let messages: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() >> (64 - width)).collect();
+                prop_assert_eq!(net.broadcast_round(&messages), &messages[..]);
+                model.push(messages);
+            } else {
+                let payloads: Vec<BitVec> = (0..n).map(|_| BitVec::random(&mut rng, len)).collect();
+                let rounds = net.broadcast_bits(&payloads);
+                let sent: Vec<Vec<u64>> = payloads
+                    .iter()
+                    .map(|p| per_bit_messages(p, width as usize, rounds))
+                    .collect();
+                model.extend((0..rounds).map(|r| sent.iter().map(|m| m[r]).collect::<Vec<u64>>()));
+                prop_assert_eq!(net.collect_bits(rounds, len), payloads);
+            }
+            prop_assert_eq!(net.rounds_used(), model.len());
+            prop_assert_eq!(net.bits_used(), model.len() * n * width as usize);
+            log_agrees(net.log(), &model, width)?;
+        }
+
+        // A round with the wrong processor count still panics, on the log
+        // and through the network, and leaves neither changed.
+        for wrong in [n - 1, n + 1] {
+            let mut log = net.log().clone();
+            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                log.push_round(vec![0; wrong]);
+            }));
+            prop_assert!(pushed.is_err(), "a {}-message round on {} processors", wrong, n);
+            prop_assert_eq!(&log, net.log());
+            let mut bad = net.clone();
+            let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                bad.broadcast_round(&vec![0; wrong]);
+            }));
+            prop_assert!(sent.is_err(), "a {}-message broadcast on {} processors", wrong, n);
+            prop_assert_eq!(bad.log(), net.log());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Bit-packed vectors over F₂.
 
 use std::fmt;
-use std::ops::{BitAnd, BitOrAssign, BitXor, BitXorAssign};
+use std::ops::{BitAnd, BitAndAssign, BitOrAssign, BitXor, BitXorAssign};
 
 use rand::Rng;
 
@@ -257,6 +257,30 @@ impl BitVec {
         })
     }
 
+    /// Sets `self` to `a AND b`, reusing `self`'s buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths of `a` and `b` differ.
+    pub fn assign_and(&mut self, a: &BitVec, b: &BitVec) {
+        assert_eq!(a.len, b.len, "and of mismatched lengths");
+        self.words.clear();
+        self.words.extend_from_slice(&a.words);
+        self.len = a.len;
+        kernel::active().and_in_place(&mut self.words, &b.words);
+    }
+
+    /// Appends the indices of the ones of `self AND NOT other` to `out`,
+    /// ascending, without materialising the difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn and_not_ones_into(&self, other: &BitVec, out: &mut Vec<u32>) {
+        assert_eq!(self.len, other.len, "and_not of mismatched lengths");
+        kernel::active().filter_indices(&self.words, &other.words, false, out);
+    }
+
     /// Returns `self AND NOT other` (set difference of the one sets).
     ///
     /// # Panics
@@ -301,6 +325,13 @@ impl BitVec {
 impl BitXorAssign<&BitVec> for BitVec {
     fn bitxor_assign(&mut self, rhs: &BitVec) {
         self.xor_in_place(rhs);
+    }
+}
+
+impl BitAndAssign<&BitVec> for BitVec {
+    fn bitand_assign(&mut self, rhs: &BitVec) {
+        assert_eq!(self.len, rhs.len, "and of mismatched lengths");
+        kernel::active().and_in_place(&mut self.words, &rhs.words);
     }
 }
 

@@ -6,6 +6,8 @@ use rand::Rng;
 
 use crate::BitVec;
 
+const WORD_BITS: usize = 64;
+
 /// A dense matrix over F₂ stored as bit-packed rows.
 ///
 /// The paper's PRG hides a secret matrix `M ∈ F₂^{k×(m−k)}` and each
@@ -216,15 +218,52 @@ impl BitMatrix {
         BitMatrix::from_rows(rows, rhs.ncols)
     }
 
-    /// The transpose.
+    /// The transpose, built 64×64 bits at a time: each block of 64 rows
+    /// and one word of columns is transposed in registers and lands as
+    /// one word of 64 output rows.
     pub fn transpose(&self) -> BitMatrix {
-        let mut t = BitMatrix::zeros(self.ncols, self.nrows());
-        for (i, row) in self.rows.iter().enumerate() {
-            for j in row.iter_ones() {
-                t.set(j, i, true);
-            }
-        }
-        t
+        let words = transpose_words(self.nrows(), |i| self.rows[i].as_words(), self.ncols);
+        BitMatrix::from_flat(words, self.ncols, self.nrows())
+    }
+
+    /// The submatrix on the rows `rows` and the columns `cols`, in those
+    /// orders: the selected rows are transposed, the selected columns
+    /// picked from the transpose as its rows, and the result transposed
+    /// back, all on flat word buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn select(&self, rows: &[usize], cols: &[usize]) -> BitMatrix {
+        assert!(
+            cols.iter().all(|&j| j < self.ncols),
+            "column index out of range {}",
+            self.ncols
+        );
+        let stride = rows.len().div_ceil(WORD_BITS);
+        let t = transpose_words(rows.len(), |r| self.rows[rows[r]].as_words(), self.ncols);
+        let words = transpose_words(cols.len(), |c| &t[cols[c] * stride..][..stride], rows.len());
+        BitMatrix::from_flat(words, rows.len(), cols.len())
+    }
+
+    /// The `nrows × ncols` matrix whose row `i` is the `i`-th run of
+    /// `ncols.div_ceil(64)` words of `words`.
+    fn from_flat(words: Vec<u64>, nrows: usize, ncols: usize) -> BitMatrix {
+        let stride = ncols.div_ceil(WORD_BITS);
+        let rows = if stride == 0 {
+            vec![BitVec::zeros(0); nrows]
+        } else {
+            words
+                .chunks_exact(stride)
+                .map(|w| BitVec::from_words(w.to_vec(), ncols))
+                .collect()
+        };
+        BitMatrix { rows, ncols }
+    }
+
+    /// The rows, by value.
+    pub fn into_rows(self) -> Vec<BitVec> {
+        self.rows
     }
 
     /// The top-left `r × c` submatrix.
@@ -255,6 +294,51 @@ impl BitMatrix {
             .map(|(a, b)| a.concat(b))
             .collect();
         BitMatrix::from_rows(rows, self.ncols + rhs.ncols)
+    }
+}
+
+/// Transposes the `nrows`-row bit matrix whose row `i` is `row(i)` (at
+/// least `ncols.div_ceil(64)` words, zero past `ncols`) into `ncols`
+/// rows of `nrows.div_ceil(64)` words each, laid out flat.
+fn transpose_words<'a>(nrows: usize, row: impl Fn(usize) -> &'a [u64], ncols: usize) -> Vec<u64> {
+    let stride = nrows.div_ceil(WORD_BITS);
+    let mut out = vec![0u64; ncols * stride];
+    let mut block = [0u64; WORD_BITS];
+    for bi in 0..stride {
+        let lo = bi * WORD_BITS;
+        let hi = (lo + WORD_BITS).min(nrows);
+        for bj in 0..ncols.div_ceil(WORD_BITS) {
+            for (slot, i) in block.iter_mut().zip(lo..hi) {
+                *slot = row(i)[bj];
+            }
+            block[hi - lo..].fill(0);
+            transpose64(&mut block);
+            let first = bj * WORD_BITS;
+            for (c, &word) in block.iter().enumerate().take(ncols - first) {
+                out[(first + c) * stride + bi] = word;
+            }
+        }
+    }
+    out
+}
+
+/// Transposes a 64×64 bit block in place: bit `j` of `a[i]` trades places
+/// with bit `i` of `a[j]`. Swaps the off-diagonal 32×32 quadrants, then
+/// the 16×16 quadrants inside each, down to single bits — six masked
+/// passes instead of 4096 bit moves.
+fn transpose64(a: &mut [u64; WORD_BITS]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        let mut k = 0;
+        while k < WORD_BITS {
+            let t = ((a[k] >> width) ^ a[k + width]) & mask;
+            a[k] ^= t << width;
+            a[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 

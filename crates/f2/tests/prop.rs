@@ -395,3 +395,101 @@ proptest! {
         prop_assert_eq!(cat, concat_reference(&a, &b));
     }
 }
+
+/// The bit-by-bit transpose the block transpose replaced: one `set` per
+/// one bit.
+fn transpose_reference(m: &BitMatrix) -> BitMatrix {
+    let mut t = BitMatrix::zeros(m.ncols(), m.nrows());
+    for (i, row) in m.iter_rows().enumerate() {
+        for j in row.iter_ones() {
+            t.set(j, i, true);
+        }
+    }
+    t
+}
+
+/// A seeded random matrix; `density` picks all-zero, sparse, half or
+/// all-one rows so that every block pattern shows up.
+fn seeded_matrix(nrows: usize, ncols: usize, density: u8, seed: u64) -> BitMatrix {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = (0..nrows)
+        .map(|_| match density % 4 {
+            0 => BitVec::zeros(ncols),
+            1 => (0..ncols).map(|_| rng.gen_range(0..8) == 0).collect(),
+            2 => BitVec::random(&mut rng, ncols),
+            _ => BitVec::ones(ncols),
+        })
+        .collect();
+    BitMatrix::from_rows(rows, ncols)
+}
+
+#[test]
+fn block_transpose_matches_the_bitwise_reference_on_edge_shapes() {
+    let shapes = [
+        (0, 0),
+        (0, 5),
+        (0, 64),
+        (5, 0),
+        (64, 0),
+        (1, 1),
+        (63, 63),
+        (64, 64),
+        (65, 65),
+        (63, 65),
+        (65, 64),
+        (64, 63),
+        (1, 130),
+        (130, 1),
+        (257, 300),
+    ];
+    for (nrows, ncols) in shapes {
+        for density in 0..4 {
+            let m = seeded_matrix(nrows, ncols, density, (nrows * 1000 + ncols) as u64);
+            let t = m.transpose();
+            assert_eq!((t.nrows(), t.ncols()), (ncols, nrows));
+            assert_eq!(
+                t,
+                transpose_reference(&m),
+                "{nrows}x{ncols} density {density}"
+            );
+            assert_eq!(t.transpose(), m, "{nrows}x{ncols} twice");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn block_transpose_matches_the_bitwise_reference(
+        nrows in 0usize..200,
+        ncols in 0usize..200,
+        density in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let m = seeded_matrix(nrows, ncols, density, seed);
+        let t = m.transpose();
+        prop_assert_eq!(&t, &transpose_reference(&m));
+        prop_assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn select_matches_entrywise_gather(
+        nrows in 1usize..150,
+        ncols in 1usize..150,
+        rows in proptest::collection::vec(any::<u64>(), 0..140),
+        cols in proptest::collection::vec(any::<u64>(), 0..140),
+        seed in any::<u64>(),
+    ) {
+        // Arbitrary orders, with repeats.
+        let rows: Vec<usize> = rows.iter().map(|&r| r as usize % nrows).collect();
+        let cols: Vec<usize> = cols.iter().map(|&c| c as usize % ncols).collect();
+        let m = seeded_matrix(nrows, ncols, 2, seed);
+        let got = m.select(&rows, &cols);
+        prop_assert_eq!((got.nrows(), got.ncols()), (rows.len(), cols.len()));
+        for (a, &i) in rows.iter().enumerate() {
+            for (b, &j) in cols.iter().enumerate() {
+                prop_assert_eq!(got.get(a, b), m.get(i, j));
+            }
+        }
+    }
+}

@@ -9,9 +9,11 @@
 //! planted part).
 //!
 //! Every set operation is word-parallel through the F₂ word kernel: a
-//! branch narrows `P` and `X` by one AND with the borrowed neighbourhood,
-//! pivots are scored with the allocation-free [`BitVec::and_count`]
-//! (`kernel.words.filter`), and the branch list is `P ∧ ¬N(pivot)`.
+//! branch narrows `P` and `X` by one AND with the borrowed neighbourhood
+//! into buffers pooled per search depth, pivots are scored with the
+//! allocation-free [`BitVec::and_count`] (`kernel.words.filter`), and the
+//! branch list is the index scan of `P ∧ ¬N(pivot)`. One search core
+//! serves both [`max_clique`] and [`maximal_cliques`].
 
 use bcc_f2::BitVec;
 
@@ -48,99 +50,128 @@ pub fn is_directed_clique(g: &DiGraph, set: &[usize]) -> bool {
 /// planted-clique graphs the experiments use; intended for the unbounded
 /// local-computation step of Appendix B.
 pub fn max_clique(g: &UGraph) -> Vec<usize> {
-    let n = g.n();
-    let mut best: Vec<usize> = Vec::new();
-    let mut r: Vec<usize> = Vec::new();
-    let mut p = BitVec::ones(n);
-    let mut x = BitVec::zeros(n);
-    bron_kerbosch_max(g, &mut r, &mut p, &mut x, &mut best);
+    let mut best = Vec::new();
+    bron_kerbosch(g, 1, |r| {
+        best = r.to_vec();
+        r.len() + 1
+    });
     best.sort_unstable();
     best
 }
 
-fn bron_kerbosch_max(
-    g: &UGraph,
-    r: &mut Vec<usize>,
-    p: &mut BitVec,
-    x: &mut BitVec,
-    best: &mut Vec<usize>,
-) {
-    if p.is_zero() && x.is_zero() {
-        if r.len() > best.len() {
-            *best = r.clone();
-        }
-        return;
-    }
-    // Prune: even taking all of P cannot beat the best.
-    if r.len() + p.count_ones() <= best.len() {
-        return;
-    }
-    for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v);
-        r.push(v);
-        let mut p2 = &*p & nv;
-        let mut x2 = &*x & nv;
-        bron_kerbosch_max(g, r, &mut p2, &mut x2, best);
-        r.pop();
-        p.set(v, false);
-        x.set(v, true);
-    }
-}
-
 /// All maximal cliques of size at least `min_size`, each sorted.
 pub fn maximal_cliques(g: &UGraph, min_size: usize) -> Vec<Vec<usize>> {
-    let n = g.n();
     let mut out = Vec::new();
-    let mut r: Vec<usize> = Vec::new();
-    let mut p = BitVec::ones(n);
-    let mut x = BitVec::zeros(n);
-    bron_kerbosch_all(g, &mut r, &mut p, &mut x, min_size, &mut out);
-    for c in &mut out {
+    bron_kerbosch(g, min_size, |r| {
+        let mut c = r.to_vec();
         c.sort_unstable();
-    }
+        out.push(c);
+        min_size
+    });
     out
 }
 
-fn bron_kerbosch_all(
-    g: &UGraph,
-    r: &mut Vec<usize>,
-    p: &mut BitVec,
-    x: &mut BitVec,
-    min_size: usize,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if p.is_zero() && x.is_zero() {
-        if r.len() >= min_size {
-            out.push(r.clone());
-        }
-        return;
-    }
-    if r.len() + p.count_ones() < min_size {
-        return;
-    }
-    for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v);
-        r.push(v);
-        let mut p2 = &*p & nv;
-        let mut x2 = &*x & nv;
-        bron_kerbosch_all(g, r, &mut p2, &mut x2, min_size, out);
-        r.pop();
-        p.set(v, false);
-        x.set(v, true);
+/// One depth of the search: the candidate set `P`, the excluded set `X`
+/// and the branch list, kept across calls so that a branch reuses the
+/// buffers of the last branch at its depth instead of allocating.
+struct Level {
+    p: BitVec,
+    x: BitVec,
+    branches: Vec<u32>,
+}
+
+/// Bron–Kerbosch with Tomita pivoting. Reports every maximal clique of
+/// size at least `need` to `found`, which returns the new `need`; a branch
+/// that cannot reach `need` even by taking all of `P` is pruned. Adds the
+/// number of search nodes to `graphs.clique.branches`.
+fn bron_kerbosch(g: &UGraph, need: usize, found: impl FnMut(&[usize]) -> usize) {
+    let n = g.n();
+    let root = Level {
+        p: BitVec::ones(n),
+        x: BitVec::zeros(n),
+        branches: Vec::new(),
+    };
+    let mut search = Search {
+        g,
+        r: Vec::new(),
+        levels: vec![root],
+        need,
+        found,
+        nodes: 0,
+    };
+    search.expand(0);
+    if let Some(obs) = bcc_obs::current() {
+        obs.add("graphs.clique.branches", bcc_obs::Class::Work, search.nodes);
     }
 }
 
-/// `P \ N(pivot)` where the pivot maximizes `|N(pivot) ∩ P|` over `P ∪ X`
-/// (Tomita-style pivoting; the pivot itself stays a candidate when in `P`).
-/// Ties go to the *last* maximiser in `P`-then-`X` order, which fixes the
-/// traversal and so which maximum clique is returned.
-fn pivot_candidates(g: &UGraph, p: &BitVec, x: &BitVec) -> Vec<usize> {
+/// One search in progress: the graph, the clique `R` under construction,
+/// the per-depth buffers, the size a reported clique must reach, the
+/// callback that reports it, and the nodes expanded so far.
+struct Search<'g, F> {
+    g: &'g UGraph,
+    r: Vec<usize>,
+    levels: Vec<Level>,
+    need: usize,
+    found: F,
+    nodes: u64,
+}
+
+impl<F: FnMut(&[usize]) -> usize> Search<'_, F> {
+    /// Expands the node whose `P` and `X` are `levels[depth]`.
+    fn expand(&mut self, depth: usize) {
+        self.nodes += 1;
+        let Level { p, x, .. } = &self.levels[depth];
+        if p.is_zero() && x.is_zero() {
+            if self.r.len() >= self.need {
+                self.need = (self.found)(&self.r);
+            }
+            return;
+        }
+        if self.r.len() + p.count_ones() < self.need {
+            return;
+        }
+        if self.levels.len() == depth + 1 {
+            self.levels.push(Level {
+                p: BitVec::zeros(0),
+                x: BitVec::zeros(0),
+                branches: Vec::new(),
+            });
+        }
+        let mut branches = std::mem::take(&mut self.levels[depth].branches);
+        branches.clear();
+        pivot_branches(self.g, &self.levels[depth], &mut branches);
+        for &v in &branches {
+            let v = v as usize;
+            let nv = self.g.neighbors(v);
+            let (here, below) = self.levels.split_at_mut(depth + 1);
+            let (cur, next) = (&here[depth], &mut below[0]);
+            next.p.assign_and(&cur.p, nv);
+            next.x.assign_and(&cur.x, nv);
+            self.r.push(v);
+            self.expand(depth + 1);
+            self.r.pop();
+            let cur = &mut self.levels[depth];
+            cur.p.set(v, false);
+            cur.x.set(v, true);
+        }
+        self.levels[depth].branches = branches;
+    }
+}
+
+/// Appends `P \ N(pivot)` to `out`, where the pivot maximizes
+/// `|N(pivot) ∩ P|` over `P ∪ X` (Tomita-style pivoting; the pivot itself
+/// stays a candidate when in `P`). Ties go to the *last* maximiser in
+/// `P`-then-`X` order, which fixes the traversal and so which maximum
+/// clique is returned.
+fn pivot_branches(g: &UGraph, level: &Level, out: &mut Vec<u32>) {
+    let (p, x) = (&level.p, &level.x);
     let pivot = p
         .iter_ones()
         .chain(x.iter_ones())
         .max_by_key(|&u| g.neighbors(u).and_count(p))
         .expect("P ∪ X is non-empty here");
-    p.and_not(g.neighbors(pivot)).iter_ones().collect()
+    p.and_not_ones_into(g.neighbors(pivot), out);
 }
 
 /// Greedily extends `seed` to a maximal clique containing it.

@@ -128,17 +128,14 @@ impl DiGraph {
     /// The *mutual graph*: the undirected graph with `{u,v}` iff both
     /// `u → v` and `v → u`. A set is a directed clique iff it is a clique
     /// of the mutual graph.
+    ///
+    /// Built row by row as `adj ∧ adjᵀ` over one block transpose.
     pub fn mutual_graph(&self) -> UGraph {
-        let n = self.n();
-        let mut g = UGraph::empty(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if self.has_edge(u, v) && self.has_edge(v, u) {
-                    g.set_edge(u, v, true);
-                }
-            }
+        let mut rows = self.adj.transpose().into_rows();
+        for (row, out) in rows.iter_mut().zip(self.adj.iter_rows()) {
+            *row &= out;
         }
-        g
+        UGraph::from_rows(rows)
     }
 
     /// The induced subgraph on `vertices` (in the given order), together

@@ -306,3 +306,85 @@ fn find_clique_and_throughput_sweeps_run_end_to_end() {
     assert_eq!(throughput.records.len(), 1);
     assert!(throughput.records[0].estimate > 0.0);
 }
+
+/// Worker half of the find-clique kernel matrix: sweeps under whatever
+/// kernel `BCC_KERNEL` selected and prints the finder's work counters and
+/// the records' fingerprint.
+#[test]
+#[ignore = "worker spawned by find_clique_work_counters_are_kernel_invariant"]
+fn find_clique_work_worker() {
+    use bcc_f2::kernel::WordKernel;
+
+    let sweep = Scenario::builder("clique-work")
+        .workload(Workload::FindClique)
+        .n(&[128, 192])
+        .k(&[64, 96])
+        .seeds(&[1, 2])
+        .tolerance(0.3)
+        .initial_samples(2)
+        .max_samples(4)
+        .build()
+        .sweep_ephemeral();
+    let branches = sweep.metrics.work_counter("graphs.clique.branches");
+    let messages = sweep.metrics.work_counter("congest.messages_logged");
+    assert!(
+        branches > 0 && messages > 0,
+        "the sweep must search and broadcast"
+    );
+    println!(
+        "FIND_WORK {} {branches} {messages} {:016x}",
+        bcc_f2::kernel::active().name(),
+        bcc_lab::records_fingerprint(&sweep.records)
+    );
+}
+
+/// Runner half: one worker subprocess per available F2 kernel; the
+/// `graphs.clique.branches` and `congest.messages_logged` counters and the
+/// records must agree bit for bit.
+#[test]
+fn find_clique_work_counters_are_kernel_invariant() {
+    let mut kernels = vec!["scalar"];
+    #[cfg(target_arch = "x86_64")]
+    if bcc_f2::kernel::Kernel::avx2().is_some() {
+        kernels.push("avx2");
+    } else {
+        eprintln!("NOTE find-clique kernel matrix: host has no AVX2, one column");
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let rows: Vec<String> = kernels
+        .iter()
+        .map(|kernel| {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "find_clique_work_worker",
+                    "--ignored",
+                    "--nocapture",
+                ])
+                .env("BCC_KERNEL", kernel)
+                .output()
+                .expect("spawn find-clique worker");
+            assert!(
+                out.status.success(),
+                "worker under BCC_KERNEL={kernel} failed:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let at = stdout
+                .find("FIND_WORK")
+                .unwrap_or_else(|| panic!("no work line in worker output:\n{stdout}"));
+            let line = stdout[at..].lines().next().expect("work line");
+            let mut parts = line.split_whitespace().skip(1);
+            assert_eq!(
+                parts.next(),
+                Some(*kernel),
+                "worker ran the requested kernel"
+            );
+            parts.collect::<Vec<_>>().join(" ")
+        })
+        .collect();
+    assert!(
+        rows.iter().all(|r| *r == rows[0]),
+        "find-clique work and records must agree across kernels: {rows:?}"
+    );
+}

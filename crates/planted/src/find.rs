@@ -21,7 +21,7 @@
 use bcc_congest::{Model, Network};
 use bcc_f2::{BitMatrix, BitVec};
 use bcc_graphs::clique::max_clique;
-use bcc_graphs::digraph::{DiGraph, UGraph};
+use bcc_graphs::digraph::DiGraph;
 use rand::Rng;
 
 /// Why the protocol gave up, if it did.
@@ -87,14 +87,24 @@ pub fn find_planted_clique_in<R: Rng + ?Sized>(
     p: f64,
     rng: &mut R,
 ) -> FindOutcome {
+    find_on(&mut Network::new(model), graph, p, rng)
+}
+
+/// Runs the protocol on `net`, which must have no rounds elapsed.
+fn find_on<R: Rng + ?Sized>(
+    net: &mut Network,
+    graph: &DiGraph,
+    p: f64,
+    rng: &mut R,
+) -> FindOutcome {
     assert!(
         p > 0.0 && p <= 1.0,
         "activation probability must be in (0,1]"
     );
     let n = graph.n();
     assert!(n >= 2, "need at least two vertices");
-    assert_eq!(model.n(), n, "model size must match the graph");
-    let mut net = Network::new(model);
+    assert_eq!(net.model().n(), n, "model size must match the graph");
+    assert_eq!(net.rounds_used(), 0, "the network must be fresh");
 
     // Step 1: activity announcement.
     let active_bits: Vec<u64> = (0..n).map(|_| u64::from(rng.gen::<f64>() < p)).collect();
@@ -124,20 +134,14 @@ pub fn find_planted_clique_in<R: Rng + ?Sized>(
 
     // Step 3: active processors publish their adjacency to the active set
     // (inactive processors pad with zeros — everyone broadcasts each
-    // round in this model). Row `i` restricted to the active columns is
-    // gathered word by word; the diagonal is already zero.
-    let payloads: Vec<BitVec> = (0..n)
-        .map(|i| {
-            let mut words = vec![0u64; n_active.div_ceil(64)];
-            if heard[i] == 1 {
-                let row = graph.row(i).as_words();
-                for (slot, &j) in active.iter().enumerate() {
-                    words[slot / 64] |= ((row[j / 64] >> (j % 64)) & 1) << (slot % 64);
-                }
-            }
-            BitVec::from_words(words, n_active)
-        })
-        .collect();
+    // round in this model). `G_AA`, the active rows restricted to the
+    // active columns, is one `BitMatrix::select`: two row selections
+    // around two block transposes. The diagonal is already zero.
+    let g_aa = graph.adjacency().select(&active, &active);
+    let mut payloads = vec![BitVec::zeros(n_active); n];
+    for (&i, row) in active.iter().zip(g_aa.into_rows()) {
+        payloads[i] = row;
+    }
     let rounds = net.broadcast_bits(&payloads);
 
     // Step 4: everyone reconstructs the active mutual subgraph `S ∧ Sᵀ`
@@ -151,14 +155,7 @@ pub fn find_planted_clique_in<R: Rng + ?Sized>(
             .collect(),
         n_active,
     );
-    let transposed = published.transpose();
-    let active_graph = UGraph::from_rows(
-        published
-            .iter_rows()
-            .zip(transposed.iter_rows())
-            .map(|(row, col)| row & col)
-            .collect(),
-    );
+    let active_graph = DiGraph::from_adjacency(published).mutual_graph();
     let local_clique = max_clique(&active_graph);
     let active_clique: Vec<usize> = local_clique.iter().map(|&a| active[a]).collect();
     let log_n = (n as f64).log2();
@@ -226,6 +223,9 @@ pub struct FindTally {
     aborts: usize,
     rounds: usize,
     active: usize,
+    /// One `BCAST(1)` network for every trial, cleared in between, so
+    /// the round log's pages are allocated once per tally.
+    net: Option<Network>,
 }
 
 impl FindTally {
@@ -241,6 +241,7 @@ impl FindTally {
             aborts: 0,
             rounds: 0,
             active: 0,
+            net: None,
         }
     }
 
@@ -248,7 +249,11 @@ impl FindTally {
     pub fn extend<R: Rng + ?Sized>(&mut self, trials: usize, rng: &mut R) {
         for _ in 0..trials {
             let inst = bcc_graphs::planted::sample_planted(rng, self.n, self.k);
-            let out = find_planted_clique(&inst.graph, self.p, rng);
+            let net = self
+                .net
+                .get_or_insert_with(|| Network::new(Model::bcast1(self.n)));
+            net.clear();
+            let out = find_on(net, &inst.graph, self.p, rng);
             self.successes += usize::from(out.recovered(&inst.clique));
             self.aborts += usize::from(out.abort.is_some());
             self.rounds += out.rounds_used;

@@ -100,3 +100,50 @@ proptest! {
         prop_assert!(bounds::theorem_1_6(4 * n, k) < bounds::theorem_1_6(n, k));
     }
 }
+
+/// The finder's work counters. `graphs.clique.branches` (Bron–Kerbosch
+/// nodes) and `congest.messages_logged` are tallied only under an
+/// installed scope, never steer an outcome (obs on == obs off), and the
+/// message count is the protocol's own accounting: `n` messages for every
+/// round it used.
+#[test]
+fn finder_work_counters_are_exact_and_invisible() {
+    use bcc_planted::find::{activation_probability, find_planted_clique, FindOutcome};
+
+    let (n, k) = (256, 110);
+    let p = activation_probability(n, k);
+    let run = || -> Vec<FindOutcome> {
+        let mut rng = StdRng::seed_from_u64(11);
+        (0..6)
+            .map(|_| {
+                let inst = sample_planted(&mut rng, n, k);
+                find_planted_clique(&inst.graph, p, &mut rng)
+            })
+            .collect()
+    };
+    let bare = run();
+    let registry = bcc_obs::Registry::new();
+    let scope = registry.install();
+    let observed = run();
+    drop(scope);
+
+    for (off, on) in bare.iter().zip(&observed) {
+        assert_eq!(off.claimed, on.claimed);
+        assert_eq!(off.abort, on.abort);
+        assert_eq!(off.active_count, on.active_count);
+        assert_eq!(off.active_clique_size, on.active_clique_size);
+        assert_eq!(off.rounds_used, on.rounds_used);
+    }
+    let snap = registry.snapshot();
+    let rounds: usize = observed.iter().map(|o| o.rounds_used).sum();
+    assert_eq!(
+        snap.work_counter("congest.messages_logged"),
+        (n * rounds) as u64
+    );
+    let searched = observed.iter().filter(|o| o.active_count >= 2).count();
+    assert!(
+        snap.work_counter("graphs.clique.branches") >= searched as u64,
+        "every search expands at least its root"
+    );
+    assert!(searched > 0, "some trial must reach the clique search");
+}

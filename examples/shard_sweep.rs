@@ -25,14 +25,16 @@
 //! `--worker <addr>` argument, so the drill runs real process boundaries
 //! — real sockets, real `abort(2)`, real torn files — with no second
 //! binary to locate. Results land in `BENCH_shard.json` (schema
-//! `bcc-bench-shard/v1`) as a throughput-vs-workers scaling table; on a
-//! single-core container the interesting column is not the speedup but
-//! `fingerprint_match`, which must read `true` in every row.
+//! `bcc-bench-shard/v1`) as a throughput-vs-workers scaling table with the
+//! measured host (core count, F2 kernel, thread override); at 16 points
+//! the interesting column is not the speedup but `fingerprint_match`,
+//! which must read `true` in every row.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::Instant;
 
+use bcc::f2::kernel::WordKernel;
 use bcc::lab::{run_sweep, Scenario, Workload};
 use bcc::shard::{run_worker, FaultPlan, ShardConfig, ShardOutcome, ShardServer, WorkerConfig};
 
@@ -296,9 +298,23 @@ fn render_bench(rows: &[Row], smoke: bool, points: usize, reference_fp: u64) -> 
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!("  \"host\": {},\n", host_json()));
     out.push_str(
-        "  \"notes\": {\"parity\": \"every row's records fingerprint equals the single-process reference (wall_ms excluded by construction)\", \"host\": \"single-core CI container; scaling numbers measure overhead, fingerprint_match measures correctness\"}\n",
+        "  \"notes\": {\"parity\": \"every row's records fingerprint equals the single-process reference (wall_ms excluded by construction)\", \"scaling\": \"a 16-point sweep is dominated by process start-up: the rows measure protocol overhead, fingerprint_match measures correctness\"}\n",
     );
     out.push_str("}\n");
     out
+}
+
+/// The host the rows were measured on: core count, the active F2 kernel
+/// and the thread-count and kernel overrides as set (`unset` if not).
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let env = |name: &str| std::env::var(name).unwrap_or_else(|_| "unset".into());
+    format!(
+        "{{\"nproc\": {nproc}, \"kernel\": \"{}\", \"BCC_KERNEL\": \"{}\", \"RAYON_NUM_THREADS\": \"{}\"}}",
+        bcc::f2::kernel::active().name(),
+        env("BCC_KERNEL"),
+        env("RAYON_NUM_THREADS")
+    )
 }
