@@ -15,11 +15,15 @@
 //! * **kernel lanes**: the F2 word-kernel hot loops (dense intersect,
 //!   label-plane partition, radix passes) timed once per kernel —
 //!   scalar rows always, AVX2 rows when the host supports it — so the
-//!   lanes-vs-scalar ratio is tracked from PR to PR (schema
-//!   `bcc-bench-walk/v2`);
+//!   lanes-vs-scalar ratio is tracked from PR to PR;
+//! * **kernel keystream**: the sampler's ChaCha12 generator
+//!   (`KernelChaCha12Rng`) drawing `u64`s with its blocks computed by
+//!   each kernel;
 //!
 //! — and persists everything to `BENCH_walk.json` (override the path
-//! with `BCC_BENCH_WALK_OUT`), so the perf trajectory of the walk has
+//! with `BCC_BENCH_WALK_OUT`, schema `bcc-bench-walk/v3`: v2 plus the
+//! measured `host` block — core count, active kernel, `BCC_KERNEL` and
+//! `RAYON_NUM_THREADS`), so the perf trajectory of the walk has
 //! machine-readable data from PR to PR. `--smoke` shrinks the workloads
 //! for CI but still exercises every scenario and writes the file.
 
@@ -31,10 +35,15 @@ use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
 use bcc_core::{
     exact_mixture_comparison_mode, exact_mixture_comparison_reference, exact_wide_comparison_mode,
-    exact_wide_comparison_reference, radix_sort_u64_with, ExecMode, ProductInput, RowSupport,
+    exact_wide_comparison_reference, radix_sort_u64_with, ExecMode, KernelChaCha12Rng,
+    ProductInput, RowSupport,
 };
-use bcc_f2::kernel::{Kernel, WordKernel};
+use bcc_f2::kernel::{self, Kernel, WordKernel};
 use bcc_f2::ConsistentSet;
+use rand::{RngCore, SeedableRng};
+
+/// `u64` draws per iteration of the keystream rows (16 refills).
+const KEYSTREAM_DRAWS: usize = 1024;
 
 /// One measured scenario: mean wall-clock nanoseconds per iteration.
 struct Measurement {
@@ -82,8 +91,9 @@ fn write_json(
     notes: &[(&str, String)],
 ) {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bcc-bench-walk/v2\",\n");
+    out.push_str("  \"schema\": \"bcc-bench-walk/v3\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
+    out.push_str(&format!("  \"host\": {},\n", host_json()));
     out.push_str("  \"scenarios\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         out.push_str(&format!(
@@ -117,6 +127,32 @@ fn write_json(
     out.push_str("}\n}\n");
     std::fs::write(path, out).expect("write BENCH_walk.json");
     println!("\nwrote {path}");
+}
+
+/// The host the rows were measured on: core count, the active F2 kernel
+/// and the thread-count and kernel overrides as set (`unset` if not).
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let env = |name: &str| std::env::var(name).unwrap_or_else(|_| "unset".into());
+    format!(
+        "{{\"nproc\": {nproc}, \"kernel\": \"{}\", \"BCC_KERNEL\": \"{}\", \"RAYON_NUM_THREADS\": \"{}\"}}",
+        kernel::active().name(),
+        env("BCC_KERNEL"),
+        env("RAYON_NUM_THREADS")
+    )
+}
+
+/// [`KEYSTREAM_DRAWS`] `u64`s from one continued generator whose blocks
+/// `k` computes.
+fn keystream_row(name: &'static str, k: Kernel, budget: u64) -> Measurement {
+    let mut rng = KernelChaCha12Rng::seed_from_u64(bcc_bench::SEED).with_kernel(k);
+    measure(name, 64, budget, || {
+        let mut acc = 0u64;
+        for _ in 0..KEYSTREAM_DRAWS {
+            acc ^= rng.next_u64();
+        }
+        acc
+    })
 }
 
 fn main() {
@@ -245,6 +281,17 @@ fn main() {
     let kernel_radix_speedup = k_avx2_rows
         .as_ref()
         .map(|(_, _, r)| k_radix_scalar.ns_per_iter / r.ns_per_iter);
+    let k_stream_scalar = keystream_row("kernel_keystream/scalar", scalar, budget);
+    let k_stream_avx2 = avx2.map(|k| keystream_row("kernel_keystream/avx2", k, budget));
+    let kernel_keystream_speedup = k_stream_avx2
+        .as_ref()
+        .map(|m| k_stream_scalar.ns_per_iter / m.ns_per_iter);
+    let ns_per_u64 = |m: &Measurement| m.ns_per_iter / KEYSTREAM_DRAWS as f64;
+    let keystream_note = std::iter::once(&k_stream_scalar)
+        .chain(&k_stream_avx2)
+        .map(|m| format!("{} {:.2}", m.name, ns_per_u64(m)))
+        .collect::<Vec<_>>()
+        .join(", ");
 
     // -- huge support, tiny alive: only the sparse path is priced sanely
     let hbits: u32 = if smoke { 14 } else { 18 };
@@ -277,6 +324,7 @@ fn main() {
         k_int_scalar,
         k_part_scalar,
         k_radix_scalar,
+        k_stream_scalar,
     ] {
         measurements.push(m);
     }
@@ -285,6 +333,7 @@ fn main() {
         measurements.push(p);
         measurements.push(r);
     }
+    measurements.extend(k_stream_avx2);
 
     println!();
     print_table(
@@ -316,6 +365,10 @@ fn main() {
             kernel_partition_speedup,
         ),
         ("kernel radix (avx2 vs scalar)", kernel_radix_speedup),
+        (
+            "kernel keystream (avx2 vs scalar)",
+            kernel_keystream_speedup,
+        ),
     ] {
         if let Some(x) = x {
             speedup_rows.push(vec![label.into(), f(x)]);
@@ -357,6 +410,7 @@ fn main() {
         ("kernel_intersect", kernel_intersect_speedup),
         ("kernel_partition", kernel_partition_speedup),
         ("kernel_radix", kernel_radix_speedup),
+        ("kernel_keystream", kernel_keystream_speedup),
     ] {
         if let Some(x) = x {
             speedups.push((name, x));
@@ -385,9 +439,11 @@ fn main() {
             (
                 "acceptance",
                 "partition/intersect >= 2.0; partition_wide >= 2.0; \
-                 kernel_intersect and kernel_partition >= 1.5 where AVX2 exists"
+                 kernel_intersect and kernel_partition >= 1.5 and \
+                 kernel_keystream >= 2.0 where AVX2 exists"
                     .into(),
             ),
+            ("keystream_ns_per_u64", keystream_note),
             // One representative bit walk + one radix pass, from bcc_obs.
             (
                 "work_walk_nodes",
@@ -419,6 +475,12 @@ fn main() {
             smoke || (ki >= 1.5 && kp >= 1.5),
             "AVX2 kernel lanes regressed below 1.5x over scalar: \
              intersect {ki:.2}, partition {kp:.2}"
+        );
+    }
+    if let Some(ks) = kernel_keystream_speedup {
+        assert!(
+            smoke || ks >= 2.0,
+            "AVX2 keystream regressed below 2x over scalar: {ks:.2}"
         );
     }
 }

@@ -77,9 +77,9 @@ impl TurnTranscript {
     /// Panics at 64 turns.
     pub fn push(&mut self, bit: bool) {
         assert!(self.len < 64, "turn transcript full");
-        if bit {
-            self.bits |= 1u64 << self.len;
-        }
+        // Branchless: sampled transcript bits are coin flips, so a branch
+        // here would mispredict about every other turn.
+        self.bits |= u64::from(bit) << self.len;
         self.len += 1;
     }
 

@@ -28,9 +28,9 @@ pub trait TurnProtocol {
     fn horizon(&self) -> u32;
 
     /// Which processor speaks on turn `t`. Default: round-robin
-    /// `t mod n`, the paper's schedule.
+    /// `t mod n`, the paper's schedule ([`round_robin`]).
     fn speaker(&self, t: u32) -> usize {
-        t as usize % self.n()
+        round_robin(t, self.n())
     }
 
     /// The bit processor `proc` broadcasts given its input and the
@@ -40,6 +40,19 @@ pub trait TurnProtocol {
     /// The number of full rounds, `⌈horizon / n⌉`.
     fn rounds(&self) -> u32 {
         (self.horizon() as usize).div_ceil(self.n()) as u32
+    }
+}
+
+/// The round-robin speaker `t mod n`, without a division on the first
+/// `n` turns — the common case, since sampled points materialize only
+/// `min(n, horizon)` processors.
+#[inline]
+pub(crate) fn round_robin(t: u32, n: usize) -> usize {
+    let t = t as usize;
+    if t < n {
+        t
+    } else {
+        t % n
     }
 }
 
@@ -154,6 +167,26 @@ pub fn is_consistent<P: TurnProtocol + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_speakers_are_t_mod_n() {
+        for n in [1usize, 2, 3, 7, 64] {
+            let bit = FnProtocol::new(n, 1, 0, |_, _, _| false);
+            let wide = crate::wide::FnWideProtocol::new(n, 1, 1, 0, |_, _, _| 0);
+            // t across several multiples of n, both sides of each.
+            for t in 0..(5 * n as u32 + 3) {
+                assert_eq!(bit.speaker(t), t as usize % n, "bit, n={n} t={t}");
+                assert_eq!(
+                    crate::wide::WideTurnProtocol::speaker(&wide, t),
+                    t as usize % n,
+                    "wide, n={n} t={t}"
+                );
+            }
+            for t in [u32::MAX - 1, u32::MAX] {
+                assert_eq!(bit.speaker(t), t as usize % n, "bit, n={n} t={t}");
+            }
+        }
+    }
 
     #[test]
     fn round_robin_speaker() {

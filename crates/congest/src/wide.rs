@@ -138,7 +138,7 @@ pub trait WideTurnProtocol {
 
     /// Which processor speaks on turn `t` (round-robin by default).
     fn speaker(&self, t: u32) -> usize {
-        t as usize % self.n()
+        crate::turn::round_robin(t, self.n())
     }
 
     /// The message processor `proc` broadcasts (must be `< 2^width`).

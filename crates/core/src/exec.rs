@@ -43,7 +43,6 @@
 use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 use bcc_congest::{TurnProtocol, TurnTranscript};
 use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
 use bcc_obs::{Class, Span};
@@ -54,6 +53,7 @@ use crate::input::ProductInput;
 use crate::sample::{
     collect_sorted_keys, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
     radix_sort_u64, sorted_depth_stats, sorted_support_union, sorted_tv_at_depth,
+    KernelChaCha12Rng,
 };
 use crate::wide::exact_wide_comparison_mode;
 
@@ -608,11 +608,11 @@ impl Estimator for SampledEstimator {
             } else {
                 &members[side - 1]
             };
-            let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(self.seed, side as u64));
+            let mut rng = KernelChaCha12Rng::seed_from_u64(derive_seed(self.seed, side as u64));
             let mut keys = Vec::new();
             collect_sorted_keys(
                 &truncated,
-                |r| input.sample(r),
+                |r, x| input.sample_into(r, x),
                 samples,
                 &mut rng,
                 &mut keys,
@@ -748,11 +748,11 @@ impl WideSampledEstimator {
             } else {
                 &members[side - 1]
             };
-            let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(self.seed, side as u64));
+            let mut rng = KernelChaCha12Rng::seed_from_u64(derive_seed(self.seed, side as u64));
             let mut keys = Vec::new();
             collect_sorted_wide_keys(
                 &truncated,
-                |r| input.sample(r),
+                |r, x| input.sample_into(r, x),
                 samples,
                 &mut rng,
                 &mut keys,
@@ -1031,7 +1031,13 @@ impl AdaptiveEstimator {
                 &members[side - 1]
             };
             sampler.extend_with(delta, |rng, delta, chunk| {
-                collect_sorted_keys(&truncated, |r| input.sample(r), delta, rng, chunk);
+                collect_sorted_keys(
+                    &truncated,
+                    |r, x| input.sample_into(r, x),
+                    delta,
+                    rng,
+                    chunk,
+                );
             });
         })
     }
@@ -1071,7 +1077,13 @@ impl AdaptiveEstimator {
                 &members[side - 1]
             };
             sampler.extend_with(delta, |rng, delta, chunk| {
-                collect_sorted_wide_keys(&truncated, |r| input.sample(r), delta, rng, chunk);
+                collect_sorted_wide_keys(
+                    &truncated,
+                    |r, x| input.sample_into(r, x),
+                    delta,
+                    rng,
+                    chunk,
+                );
             });
         })
     }
@@ -1254,7 +1266,7 @@ impl AdaptiveEstimator {
 /// derived ChaCha stream, its accumulated sorted keys, and reusable
 /// chunk/merge buffers.
 struct SideSampler {
-    rng: ChaCha12Rng,
+    rng: KernelChaCha12Rng,
     keys: Vec<u64>,
     chunk: Vec<u64>,
     scratch: Vec<u64>,
@@ -1275,7 +1287,7 @@ struct SideSampler {
 impl SideSampler {
     fn new(seed: u64) -> Self {
         SideSampler {
-            rng: ChaCha12Rng::seed_from_u64(seed),
+            rng: KernelChaCha12Rng::seed_from_u64(seed),
             keys: Vec::new(),
             chunk: Vec::new(),
             scratch: Vec::new(),
@@ -1291,7 +1303,7 @@ impl SideSampler {
     /// keys can never leak into the caller's mixture bookkeeping.
     fn extend_with<C>(&mut self, delta: usize, collect: C)
     where
-        C: FnOnce(&mut ChaCha12Rng, usize, &mut Vec<u64>),
+        C: FnOnce(&mut KernelChaCha12Rng, usize, &mut Vec<u64>),
     {
         if delta == 0 {
             self.chunk.clear();

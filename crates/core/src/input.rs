@@ -193,7 +193,22 @@ impl ProductInput {
 
     /// Samples a full input vector (one packed input per processor).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
-        self.rows.iter().map(|r| r.sample(rng)).collect()
+        let mut inputs = vec![0u64; self.n()];
+        self.sample_into(rng, &mut inputs);
+        inputs
+    }
+
+    /// [`ProductInput::sample`] into a caller-held buffer: the same draws
+    /// from `rng`, in processor order, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len() == self.n()`.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        assert_eq!(out.len(), self.n(), "one input per processor");
+        for (x, r) in out.iter_mut().zip(&self.rows) {
+            *x = r.sample(rng);
+        }
     }
 
     /// The log₂ of the number of joint inputs, `Σ_i log₂|support_i|`.

@@ -54,7 +54,8 @@ pub use exec::{
 pub use input::{ProductInput, RowSupport};
 pub use sample::{
     keys_merged_total, keys_sorted_total, radix_sort_u64, radix_sort_u64_with, sampled_comparison,
-    sampled_comparison_with, sampled_wide_comparison, wide_prefix_key, TranscriptArena,
+    sampled_comparison_with, sampled_wide_comparison, wide_prefix_key, KernelChaCha12Rng,
+    TranscriptArena,
 };
 pub use walk::{adaptive_split_depth, split_depth_for_threads, MAX_SPLIT_DEPTH, SPLIT_DEPTH};
 pub use wide::{

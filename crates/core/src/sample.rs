@@ -27,15 +27,102 @@
 //! exactly [`prefix_key`]'s bit-reversal, which is what pins the width-1
 //! wide sampler to the bit sampler bit for bit
 //! (`crates/core/tests/differential.rs`).
+//!
+//! # Keystream
+//!
+//! The estimators in [`crate::exec`] draw from [`KernelChaCha12Rng`]:
+//! the vendored `ChaCha12Rng`'s stream, word for word, refilled eight
+//! blocks at a time by the F2 kernel's
+//! [`WordKernel::chacha12_blocks`] (counted as `kernel.words.stream`).
 
 use bcc_congest::turn::run_turn_protocol;
 use bcc_congest::wide::{run_wide_protocol, WideTranscript, WideTurnProtocol};
 use bcc_congest::TurnProtocol;
-use bcc_f2::kernel::{self, WordKernel};
+use bcc_f2::kernel::{self, Kernel, WordKernel, STREAM_BLOCKS, STREAM_WORDS};
 use bcc_stats::sampling::MeanEstimator;
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::input::ProductInput;
+
+/// A ChaCha12 generator whose keystream comes from an F2 [`Kernel`].
+///
+/// Its stream is bitwise the vendored `rand_chacha::ChaCha12Rng`'s for
+/// the same seed, under every kernel: the kernel only decides how the
+/// blocks are computed ([`WordKernel::chacha12_blocks`], eight per
+/// refill). [`SeedableRng`] constructors use [`kernel::active`];
+/// [`KernelChaCha12Rng::with_kernel`] picks one explicitly.
+#[derive(Clone, Debug)]
+pub struct KernelChaCha12Rng {
+    kernel: Kernel,
+    key: [u32; 8],
+    /// The block counter of the next refill's first block.
+    counter: u64,
+    buffer: [u32; STREAM_WORDS],
+    /// The next unread word of `buffer`; `STREAM_WORDS` when drained.
+    index: usize,
+}
+
+impl KernelChaCha12Rng {
+    /// This generator computing its blocks with `kernel` (the stream is
+    /// the same under every kernel).
+    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
+        self.kernel = kernel;
+        self
+    }
+
+    fn refill(&mut self) {
+        self.kernel
+            .chacha12_blocks(&self.key, self.counter, &mut self.buffer);
+        self.counter = self.counter.wrapping_add(STREAM_BLOCKS as u64);
+        self.index = 0;
+    }
+}
+
+impl SeedableRng for KernelChaCha12Rng {
+    type Seed = [u8; 32];
+
+    fn from_seed(seed: [u8; 32]) -> Self {
+        let mut key = [0u32; 8];
+        for (word, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
+            *word = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        KernelChaCha12Rng {
+            kernel: kernel::active(),
+            key,
+            counter: 0,
+            buffer: [0; STREAM_WORDS],
+            index: STREAM_WORDS,
+        }
+    }
+}
+
+impl RngCore for KernelChaCha12Rng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        if self.index == STREAM_WORDS {
+            self.refill();
+        }
+        let word = self.buffer[self.index];
+        self.index += 1;
+        word
+    }
+
+    /// Two consecutive words, low first — the stand-in's order, also
+    /// across a block or refill boundary.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        if self.index + 1 < STREAM_WORDS {
+            let lo = u64::from(self.buffer[self.index]);
+            let hi = u64::from(self.buffer[self.index + 1]);
+            self.index += 2;
+            (hi << 32) | lo
+        } else {
+            let lo = u64::from(self.next_u32());
+            let hi = u64::from(self.next_u32());
+            (hi << 32) | lo
+        }
+    }
+}
 
 /// Reusable buffers of packed transcript keys: hold one across a sweep of
 /// comparisons to amortize allocations.
@@ -95,7 +182,7 @@ pub(crate) fn collect_sorted_keys_with<R, F>(
 }
 
 /// Fills `out` with `samples` sorted prefix keys of `protocol` run on
-/// inputs drawn from `sampler`.
+/// inputs that `sampler` draws into one reused buffer of `n` words.
 pub(crate) fn collect_sorted_keys<P, R, F>(
     protocol: &P,
     mut sampler: F,
@@ -105,10 +192,14 @@ pub(crate) fn collect_sorted_keys<P, R, F>(
 ) where
     P: TurnProtocol + ?Sized,
     R: Rng + ?Sized,
-    F: FnMut(&mut R) -> Vec<u64>,
+    F: FnMut(&mut R, &mut [u64]),
 {
+    let mut inputs = vec![0u64; protocol.n()];
     collect_sorted_keys_with(
-        |rng| prefix_key(run_turn_protocol(protocol, &sampler(rng)).as_u64()),
+        |rng| {
+            sampler(rng, &mut inputs);
+            prefix_key(run_turn_protocol(protocol, &inputs).as_u64())
+        },
         samples,
         rng,
         out,
@@ -116,7 +207,7 @@ pub(crate) fn collect_sorted_keys<P, R, F>(
 }
 
 /// The wide sibling of [`collect_sorted_keys`]: sorted [`wide_prefix_key`]s
-/// of `protocol` run on inputs drawn from `sampler`.
+/// of `protocol` run on inputs `sampler` draws into one reused buffer.
 pub(crate) fn collect_sorted_wide_keys<P, R, F>(
     protocol: &P,
     mut sampler: F,
@@ -126,14 +217,30 @@ pub(crate) fn collect_sorted_wide_keys<P, R, F>(
 ) where
     P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
-    F: FnMut(&mut R) -> Vec<u64>,
+    F: FnMut(&mut R, &mut [u64]),
 {
+    let mut inputs = vec![0u64; protocol.n()];
     collect_sorted_keys_with(
-        |rng| wide_prefix_key(&run_wide_protocol(protocol, &sampler(rng))),
+        |rng| {
+            sampler(rng, &mut inputs);
+            wide_prefix_key(&run_wide_protocol(protocol, &inputs))
+        },
         samples,
         rng,
         out,
     );
+}
+
+/// Adapts a sampler that returns an owned input vector to the buffer
+/// form [`collect_sorted_keys`] takes.
+fn into_buffer<R: ?Sized>(
+    mut sample: impl FnMut(&mut R) -> Vec<u64>,
+) -> impl FnMut(&mut R, &mut [u64]) {
+    move |rng, inputs| {
+        let drawn = sample(rng);
+        assert_eq!(drawn.len(), inputs.len(), "one input per processor");
+        inputs.copy_from_slice(&drawn);
+    }
 }
 
 /// Merges two sorted key arrays into `out` (cleared first), preserving
@@ -528,8 +635,20 @@ where
     FB: FnMut(&mut R) -> Vec<u64>,
 {
     assert!(samples > 0, "need at least one sample");
-    collect_sorted_keys(protocol, sample_a, samples, rng, &mut arena.side_a);
-    collect_sorted_keys(protocol, sample_b, samples, rng, &mut arena.side_b);
+    collect_sorted_keys(
+        protocol,
+        into_buffer(sample_a),
+        samples,
+        rng,
+        &mut arena.side_a,
+    );
+    collect_sorted_keys(
+        protocol,
+        into_buffer(sample_b),
+        samples,
+        rng,
+        &mut arena.side_b,
+    );
     let weight = 1.0 / samples as f64;
     SampledComparison {
         tv: sorted_tv_at_depth(
@@ -588,8 +707,20 @@ where
         u64::from(horizon) * u64::from(width) <= 64,
         "horizon {horizon} at width {width} exceeds the u64 key packing"
     );
-    collect_sorted_wide_keys(protocol, |r| a.sample(r), samples, rng, &mut arena.side_a);
-    collect_sorted_wide_keys(protocol, |r| b.sample(r), samples, rng, &mut arena.side_b);
+    collect_sorted_wide_keys(
+        protocol,
+        |r, x| a.sample_into(r, x),
+        samples,
+        rng,
+        &mut arena.side_a,
+    );
+    collect_sorted_wide_keys(
+        protocol,
+        |r, x| b.sample_into(r, x),
+        samples,
+        rng,
+        &mut arena.side_b,
+    );
     let weight = 1.0 / samples as f64;
     SampledComparison {
         tv: sorted_tv_at_depth(

@@ -91,6 +91,10 @@ fn observability_is_bitwise_invisible() {
         "sampled runs must tally sort work"
     );
     assert!(
+        snap.work_counter("kernel.words.stream") > 0,
+        "sampled runs must draw through the kernel keystream"
+    );
+    assert!(
         !snap.spans.is_empty(),
         "spans must have recorded wall timings"
     );
@@ -133,18 +137,22 @@ fn obs_fingerprint_worker() {
         "worker must observe walk work"
     );
     println!(
-        "OBS_WORK_FINGERPRINT {} {} {} {:016x}",
+        "OBS_WORK_FINGERPRINT {} {} {} {:016x} {}",
         kernel::active().name(),
         rayon::current_num_threads(),
         fp.len(),
-        fingerprint_hash(&fp)
+        fingerprint_hash(&fp),
+        snap.work_counter("kernel.words.stream")
     );
 }
 
-/// Runner half: `RAYON_NUM_THREADS ∈ {1, 4}` (both map to the same
+/// Runner half: `RAYON_NUM_THREADS ∈ {1, 2, 4}` (all map to the same
 /// frontier split depth, see `split_depth_for_threads`) crossed with
 /// every available `BCC_KERNEL`; every cell's deterministic work
-/// fingerprint must be identical.
+/// fingerprint must be identical. The keystream counter
+/// `kernel.words.stream` is part of the fingerprint and is also compared
+/// on its own: both kernels refill eight blocks at a time, so it must
+/// agree across the matrix, and it must be non-zero.
 #[test]
 fn work_counters_are_thread_and_kernel_invariant() {
     let mut kernels = vec!["scalar"];
@@ -157,8 +165,9 @@ fn work_counters_are_thread_and_kernel_invariant() {
 
     let exe = std::env::current_exe().expect("test binary path");
     let mut rows: Vec<(String, u64)> = Vec::new();
+    let mut streams: Vec<(String, u64)> = Vec::new();
     for want_kernel in &kernels {
-        for threads in ["1", "4"] {
+        for threads in ["1", "2", "4"] {
             let out = std::process::Command::new(&exe)
                 .args([
                     "--exact",
@@ -184,15 +193,22 @@ fn work_counters_are_thread_and_kernel_invariant() {
             let got_threads = parts.next().expect("thread count").to_string();
             let entries: usize = parts.next().expect("entry count").parse().expect("count");
             let fp = u64::from_str_radix(parts.next().expect("fingerprint"), 16).expect("hex");
+            let stream: u64 = parts.next().expect("stream words").parse().expect("count");
             assert_eq!(&name, want_kernel, "worker ran under the requested kernel");
             assert_eq!(got_threads, threads, "worker saw the requested pool size");
             assert!(entries > 0, "fingerprint must cover counters");
+            assert!(stream > 0, "sampled runs must count keystream words");
             rows.push((format!("{name}/{got_threads}t"), fp));
+            streams.push((format!("{name}/{got_threads}t"), stream));
         }
     }
     let first = rows[0].1;
     assert!(
         rows.iter().all(|(_, fp)| *fp == first),
         "work fingerprints must agree across the whole matrix: {rows:?}"
+    );
+    assert!(
+        streams.iter().all(|(_, s)| *s == streams[0].1),
+        "kernel.words.stream must agree across the whole matrix: {streams:?}"
     );
 }

@@ -4,11 +4,15 @@
 //! and the sampled/adaptive paths — bottom out in word-at-a-time `u64`
 //! loops: `BitVec` AND/AND-NOT/XOR/popcount, the label-plane split of
 //! [`crate::ConsistentSet::assign_filtered`], the dense↔sparse promotion
-//! scans, and the radix-sort digit passes in `bcc-core`. This module
-//! lifts those loops behind the [`WordKernel`] trait so they can run
-//! either as plain scalar code ([`Scalar`], the former loops moved here
-//! verbatim) or on 256-bit lanes ([`Avx2`], stable `std::arch`
-//! intrinsics, four words per step).
+//! scans, and the radix-sort digit passes in `bcc-core`. The sampled
+//! paths also draw their inputs from a ChaCha12 keystream, a `u32`
+//! add-rotate-xor (ARX) family: [`WordKernel::chacha12_blocks`]. This
+//! module lifts those loops behind the [`WordKernel`] trait so they can
+//! run either as plain scalar code ([`Scalar`], the former loops moved
+//! here verbatim, and the vendored `rand_chacha` block function) or on
+//! 256-bit lanes ([`Avx2`], stable `std::arch` intrinsics: four `u64`
+//! words per step, or eight keystream blocks side by side, one per
+//! `u32` lane).
 //!
 //! # Dispatch rule
 //!
@@ -20,16 +24,19 @@
 //!
 //! # Why lane width cannot change results
 //!
-//! Every kernel method is integer arithmetic over `u64` words — AND,
-//! XOR, popcount, funnel shifts, counting — with a defined sequential
-//! semantics. The AVX2 paths process four words per lane step and fold
-//! with the same associative, exact operations (bitwise ops and integer
-//! adds commute freely; no floating point, no saturation, no ordering
-//! freedom observable in the result). The scalar fallback is therefore a
-//! bitwise oracle: property tests in this crate and in `bcc-core` pin
-//! `Avx2 == Scalar` on random inputs, including tail words and
-//! demotion-boundary occupancies, and the walk's resume/parallel
-//! determinism guarantees hold under either kernel.
+//! Every kernel method is integer arithmetic — AND, XOR, popcount,
+//! funnel shifts and counting over `u64` words; wrapping adds, XORs and
+//! rotations over `u32` words for the keystream — with a defined
+//! sequential semantics. The AVX2 paths process four words per lane step
+//! and fold with the same associative, exact operations (bitwise ops and
+//! integer adds commute freely; no floating point, no saturation, no
+//! ordering freedom observable in the result); the keystream runs the
+//! same per-block word operations in every lane, independently. The
+//! scalar fallback is therefore a bitwise oracle: property tests in this
+//! crate and in `bcc-core` pin `Avx2 == Scalar` on random inputs,
+//! including tail words, demotion-boundary occupancies and block
+//! counters that carry across the 32-bit counter word, and the walk's
+//! resume/parallel determinism guarantees hold under either kernel.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -106,6 +113,64 @@ pub trait WordKernel {
     /// read-modify-write with cross-word carry in both kernels; the
     /// word-at-a-time walk is the win over per-bit copying.
     fn or_shifted_into(&self, src: &[u64], bit_offset: usize, out: &mut [u64]);
+
+    /// Writes [`STREAM_BLOCKS`] consecutive ChaCha12 keystream blocks
+    /// into `out`: words `[16i, 16i + 16)` are the block at counter
+    /// `counter + i` (wrapping; low half in state word 12, high half in
+    /// word 13, zero nonce) under the 8-word `key`. This is the block
+    /// function of the vendored `rand_chacha` stand-in, eight blocks at
+    /// a time, so a generator refilling from it reproduces the
+    /// stand-in's `ChaCha12Rng` stream word for word.
+    fn chacha12_blocks(&self, key: &[u32; 8], counter: u64, out: &mut [u32; STREAM_WORDS]);
+}
+
+/// Blocks per [`WordKernel::chacha12_blocks`] call: one block per 32-bit
+/// lane of a 256-bit register.
+pub const STREAM_BLOCKS: usize = 8;
+
+/// `u32` words per [`WordKernel::chacha12_blocks`] call.
+pub const STREAM_WORDS: usize = 16 * STREAM_BLOCKS;
+
+/// `"expand 32-byte k"`, ChaCha's first four state words.
+const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// ChaCha12: six double rounds.
+const CHACHA12_DOUBLE_ROUNDS: usize = 6;
+
+#[inline(always)]
+fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(16);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(12);
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(8);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(7);
+}
+
+/// One ChaCha12 block, exactly as the `rand_chacha` stand-in computes it.
+fn chacha12_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&CHACHA_CONSTANTS);
+    state[4..12].copy_from_slice(key);
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+    let initial = state;
+    for _ in 0..CHACHA12_DOUBLE_ROUNDS {
+        quarter_round(&mut state, 0, 4, 8, 12);
+        quarter_round(&mut state, 1, 5, 9, 13);
+        quarter_round(&mut state, 2, 6, 10, 14);
+        quarter_round(&mut state, 3, 7, 11, 15);
+        quarter_round(&mut state, 0, 5, 10, 15);
+        quarter_round(&mut state, 1, 6, 11, 12);
+        quarter_round(&mut state, 2, 7, 8, 13);
+        quarter_round(&mut state, 3, 4, 9, 14);
+    }
+    for (word, init) in state.iter_mut().zip(initial.iter()) {
+        *word = word.wrapping_add(*init);
+    }
+    state
 }
 
 /// The scalar kernel: the repo's original word loops, moved here
@@ -275,6 +340,13 @@ impl WordKernel for Scalar {
             }
         }
     }
+
+    #[inline]
+    fn chacha12_blocks(&self, key: &[u32; 8], counter: u64, out: &mut [u32; STREAM_WORDS]) {
+        for (i, block) in out.chunks_exact_mut(16).enumerate() {
+            block.copy_from_slice(&chacha12_block(key, counter.wrapping_add(i as u64)));
+        }
+    }
 }
 
 /// The 256-bit lane kernel: four `u64` words per step via stable AVX2
@@ -415,6 +487,12 @@ impl WordKernel for Avx2 {
         // checks; the word-at-a-time walk is the win, not the lanes.
         Scalar.or_shifted_into(src, bit_offset, out)
     }
+
+    #[inline]
+    fn chacha12_blocks(&self, key: &[u32; 8], counter: u64, out: &mut [u32; STREAM_WORDS]) {
+        // SAFETY: constructing `Avx2` proved the CPU feature.
+        unsafe { avx2::chacha12_blocks(key, counter, out) }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -423,12 +501,16 @@ mod avx2 {
     //! have proved the CPU feature (see [`super::Avx2::new`]).
 
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
-        _mm256_extract_epi64, _mm256_loadu_si256, _mm256_or_si256, _mm256_sad_epu8,
-        _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
-        _mm256_sll_epi64, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_storeu_si256,
-        _mm256_xor_si256, _mm_cvtsi64_si128,
+        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
+        _mm256_andnot_si256, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_or_si256,
+        _mm256_permute2x128_si256, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi8,
+        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_sll_epi64,
+        _mm256_slli_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi32,
+        _mm256_storeu_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi32,
+        _mm256_unpacklo_epi64, _mm256_xor_si256, _mm_cvtsi64_si128,
     };
+
+    use super::{CHACHA12_DOUBLE_ROUNDS, CHACHA_CONSTANTS, STREAM_BLOCKS, STREAM_WORDS};
 
     const LANES: usize = 4;
 
@@ -739,6 +821,136 @@ mod avx2 {
             *o = (word(off + j) >> s) | (word(off + j + 1) << (WORD_BITS as u32 - s));
         }
     }
+
+    /// Eight ChaCha12 blocks side by side: register `x[j]` holds state
+    /// word `j` of all eight blocks, lane `i` being the block at counter
+    /// `counter + i`. The rotations by 16 and 8 are byte shuffles; the
+    /// rotations by 12 and 7 are shift pairs.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn chacha12_blocks(
+        key: &[u32; 8],
+        counter: u64,
+        out: &mut [u32; STREAM_WORDS],
+    ) {
+        #[rustfmt::skip]
+        let rot16 = _mm256_setr_epi8(
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+        );
+        #[rustfmt::skip]
+        let rot8 = _mm256_setr_epi8(
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+        );
+        let mut counter_lo = [0u32; STREAM_BLOCKS];
+        let mut counter_hi = [0u32; STREAM_BLOCKS];
+        for (i, (lo, hi)) in counter_lo.iter_mut().zip(&mut counter_hi).enumerate() {
+            let c = counter.wrapping_add(i as u64);
+            *lo = c as u32;
+            *hi = (c >> 32) as u32;
+        }
+        let splat = |w: u32| _mm256_set1_epi32(w as i32);
+        // SAFETY: each array is exactly one 256-bit register wide.
+        let (lo, hi) = unsafe {
+            (
+                _mm256_loadu_si256(counter_lo.as_ptr().cast::<__m256i>()),
+                _mm256_loadu_si256(counter_hi.as_ptr().cast::<__m256i>()),
+            )
+        };
+        let init = [
+            splat(CHACHA_CONSTANTS[0]),
+            splat(CHACHA_CONSTANTS[1]),
+            splat(CHACHA_CONSTANTS[2]),
+            splat(CHACHA_CONSTANTS[3]),
+            splat(key[0]),
+            splat(key[1]),
+            splat(key[2]),
+            splat(key[3]),
+            splat(key[4]),
+            splat(key[5]),
+            splat(key[6]),
+            splat(key[7]),
+            lo,
+            hi,
+            _mm256_setzero_si256(),
+            _mm256_setzero_si256(),
+        ];
+        let mut x = init;
+        macro_rules! quarter_round {
+            ($a:expr, $b:expr, $c:expr, $d:expr) => {
+                x[$a] = _mm256_add_epi32(x[$a], x[$b]);
+                x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[$d], x[$a]), rot16);
+                x[$c] = _mm256_add_epi32(x[$c], x[$d]);
+                let t = _mm256_xor_si256(x[$b], x[$c]);
+                x[$b] = _mm256_or_si256(_mm256_slli_epi32(t, 12), _mm256_srli_epi32(t, 20));
+                x[$a] = _mm256_add_epi32(x[$a], x[$b]);
+                x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[$d], x[$a]), rot8);
+                x[$c] = _mm256_add_epi32(x[$c], x[$d]);
+                let t = _mm256_xor_si256(x[$b], x[$c]);
+                x[$b] = _mm256_or_si256(_mm256_slli_epi32(t, 7), _mm256_srli_epi32(t, 25));
+            };
+        }
+        for _ in 0..CHACHA12_DOUBLE_ROUNDS {
+            quarter_round!(0, 4, 8, 12);
+            quarter_round!(1, 5, 9, 13);
+            quarter_round!(2, 6, 10, 14);
+            quarter_round!(3, 7, 11, 15);
+            quarter_round!(0, 5, 10, 15);
+            quarter_round!(1, 6, 11, 12);
+            quarter_round!(2, 7, 8, 13);
+            quarter_round!(3, 4, 9, 14);
+        }
+        for (w, i) in x.iter_mut().zip(init) {
+            *w = _mm256_add_epi32(*w, i);
+        }
+        // Words 0–7 and 8–15 of every block: an 8×8 transpose each turns
+        // word-major registers into one block-major half row per block.
+        for (half, words) in x.chunks_exact(8).enumerate() {
+            let rows = transpose8(words);
+            for (block, row) in rows.into_iter().enumerate() {
+                // SAFETY: `16 * block + 8 * half + 7 < STREAM_WORDS`.
+                unsafe {
+                    let at = out.as_mut_ptr().add(16 * block + 8 * half);
+                    _mm256_storeu_si256(at.cast::<__m256i>(), row);
+                }
+            }
+        }
+    }
+
+    /// The 8×8 transpose of `u32` lanes: output `i` holds lane `i` of
+    /// `v[0..8]` in order.
+    #[target_feature(enable = "avx2")]
+    fn transpose8(v: &[__m256i]) -> [__m256i; 8] {
+        let t0 = _mm256_unpacklo_epi32(v[0], v[1]);
+        let t1 = _mm256_unpackhi_epi32(v[0], v[1]);
+        let t2 = _mm256_unpacklo_epi32(v[2], v[3]);
+        let t3 = _mm256_unpackhi_epi32(v[2], v[3]);
+        let t4 = _mm256_unpacklo_epi32(v[4], v[5]);
+        let t5 = _mm256_unpackhi_epi32(v[4], v[5]);
+        let t6 = _mm256_unpacklo_epi32(v[6], v[7]);
+        let t7 = _mm256_unpackhi_epi32(v[6], v[7]);
+        // u0: lane 0 of v0..v3 (low half) and lane 4 (high half); u1:
+        // lanes 1 and 5; u2: lanes 2 and 6; u3: lanes 3 and 7. u4–u7
+        // likewise for v4..v7.
+        let u0 = _mm256_unpacklo_epi64(t0, t2);
+        let u1 = _mm256_unpackhi_epi64(t0, t2);
+        let u2 = _mm256_unpacklo_epi64(t1, t3);
+        let u3 = _mm256_unpackhi_epi64(t1, t3);
+        let u4 = _mm256_unpacklo_epi64(t4, t6);
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        [
+            _mm256_permute2x128_si256(u0, u4, 0x20),
+            _mm256_permute2x128_si256(u1, u5, 0x20),
+            _mm256_permute2x128_si256(u2, u6, 0x20),
+            _mm256_permute2x128_si256(u3, u7, 0x20),
+            _mm256_permute2x128_si256(u0, u4, 0x31),
+            _mm256_permute2x128_si256(u1, u5, 0x31),
+            _mm256_permute2x128_si256(u2, u6, 0x31),
+            _mm256_permute2x128_si256(u3, u7, 0x31),
+        ]
+    }
 }
 
 /// The process-wide kernel choice: a `Copy` handle that is one of the
@@ -785,8 +997,9 @@ macro_rules! dispatch {
 
 /// Words-processed accounting at the dispatch seam. Counting here (not
 /// inside the concrete kernels) means every `active()` caller is
-/// covered once, and the count is derived from *input* lengths — so it
-/// is identical for scalar and AVX2 by construction, keeping
+/// covered once, and the count is derived from *input* lengths (for the
+/// keystream, from the fixed eight-block output) — so it is identical
+/// for scalar and AVX2 by construction, keeping
 /// `kernel.words.*` in the deterministic-work metric class. The
 /// underlying counter is gated on an observation scope being active,
 /// so the unobserved cost is one relaxed load.
@@ -889,6 +1102,12 @@ impl WordKernel for Kernel {
     fn or_shifted_into(&self, src: &[u64], bit_offset: usize, out: &mut [u64]) {
         obs_words(bcc_obs::KernelFamily::Shift, src.len());
         dispatch!(self, k => k.or_shifted_into(src, bit_offset, out))
+    }
+
+    #[inline]
+    fn chacha12_blocks(&self, key: &[u32; 8], counter: u64, out: &mut [u32; STREAM_WORDS]) {
+        obs_words(bcc_obs::KernelFamily::Stream, STREAM_WORDS / 2);
+        dispatch!(self, k => k.chacha12_blocks(key, counter, out))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the F₂ substrate.
 
-use bcc_f2::kernel::{Kernel, WordKernel};
+use bcc_f2::kernel::{Kernel, WordKernel, STREAM_WORDS};
 use bcc_f2::subcube::Subcube64;
 use bcc_f2::{gauss, sparse_budget, BitMatrix, BitVec, ConsistentSet};
 use proptest::prelude::*;
@@ -202,6 +202,44 @@ fn arb_words() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(any::<u64>(), 0..=12)
 }
 
+/// `chacha12_blocks` of every lane kernel against the scalar oracle.
+fn assert_stream_matches_scalar(key: &[u32; 8], counter: u64) {
+    let mut want = [0u32; STREAM_WORDS];
+    Kernel::scalar().chacha12_blocks(key, counter, &mut want);
+    for k in lane_kernels() {
+        let mut got = [0u32; STREAM_WORDS];
+        k.chacha12_blocks(key, counter, &mut got);
+        assert_eq!(want, got, "counter {counter:#x} under {}", k.name());
+    }
+}
+
+#[test]
+fn kernel_stream_matches_scalar_across_counter_word_carries() {
+    let key = [
+        0x0302_0100,
+        0x0706_0504,
+        0x0b0a_0908,
+        0x0f0e_0d0c,
+        0x1312_1110,
+        0x1716_1514,
+        0x1b1a_1918,
+        0x1f1e_1d1c,
+    ];
+    // 2^32 − 3: the eight blocks carry from counter word 12 into 13.
+    // u64::MAX − 3: they wrap the whole 64-bit counter.
+    for counter in [0, 1 << 32, (1 << 32) - 3, u64::MAX - 3] {
+        assert_stream_matches_scalar(&key, counter);
+    }
+    // Blocks are consecutive: a call at counter c + 1 starts with the
+    // second block of the call at c.
+    let s = Kernel::scalar();
+    let mut at0 = [0u32; STREAM_WORDS];
+    let mut at1 = [0u32; STREAM_WORDS];
+    s.chacha12_blocks(&key, (1 << 32) - 3, &mut at0);
+    s.chacha12_blocks(&key, (1 << 32) - 2, &mut at1);
+    assert_eq!(at0[16..], at1[..STREAM_WORDS - 16]);
+}
+
 /// Reference bit-at-a-time slice (the loop `BitVec::slice` replaced).
 fn slice_reference(v: &BitVec, lo: usize, hi: usize) -> BitVec {
     let mut out = BitVec::zeros(hi - lo);
@@ -247,6 +285,15 @@ proptest! {
                 prop_assert_eq!(&want, &got, "op {} under {}", op, k.name());
             }
         }
+    }
+
+    #[test]
+    fn kernel_stream_matches_scalar(
+        key in proptest::collection::vec(any::<u32>(), 8),
+        counter in any::<u64>(),
+    ) {
+        let key: [u32; 8] = key.try_into().expect("eight key words");
+        assert_stream_matches_scalar(&key, counter);
     }
 
     #[test]

@@ -98,13 +98,17 @@ pub enum KernelFamily {
     Bytes = 3,
     /// Cross-word shifts: `extract_shifted`, `or_shifted_into`.
     Shift = 4,
+    /// Keystream: `chacha12_blocks` (unit: `u64` words of keystream
+    /// written, 64 per call).
+    Stream = 5,
 }
 
-const KERNEL_FAMILIES: usize = 5;
+const KERNEL_FAMILIES: usize = 6;
 const KERNEL_FAMILY_NAMES: [&str; KERNEL_FAMILIES] =
-    ["boolean", "reduce", "filter", "bytes", "shift"];
+    ["boolean", "reduce", "filter", "bytes", "shift", "stream"];
 
 static KERNEL_WORDS: [AtomicU64; KERNEL_FAMILIES] = [
+    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
